@@ -25,7 +25,7 @@
 //! ```
 
 use crate::DynamicMis;
-use dynamis_graph::io::binary::{decode_graph, encode_graph};
+use dynamis_graph::io::binary::{decode_graph_prefix, encode_graph};
 use dynamis_graph::{DynamicGraph, GraphError};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -66,39 +66,22 @@ impl Snapshot {
             line: 0,
             message: message.into(),
         };
-        // The graph section's length is self-describing: header + bitmap
-        // + 8 + m × 8 (see the binary codec). Recompute it to find the
-        // solution section.
-        if data.len() < 10 {
-            return Err(corrupt("truncated snapshot"));
-        }
-        let slots = u32::from_le_bytes(data[6..10].try_into().expect("len checked")) as usize;
-        let bitmap_len = slots.div_ceil(8);
-        let m_off = 10 + bitmap_len;
-        if data.len() < m_off + 8 {
-            return Err(corrupt("truncated snapshot graph"));
-        }
-        let m =
-            u64::from_le_bytes(data[m_off..m_off + 8].try_into().expect("len checked")) as usize;
-        let graph_end = m_off + 8 + m * 8;
-        if data.len() < graph_end + 8 {
+        // The graph codec reports where its section ends; the solution
+        // section follows.
+        let (graph, graph_end) = decode_graph_prefix(data)?;
+        let rest = &data[graph_end..];
+        if rest.len() < 8 {
             return Err(corrupt("truncated snapshot solution header"));
         }
-        let graph = decode_graph(&data[..graph_end])?;
-        let sol_len = u64::from_le_bytes(
-            data[graph_end..graph_end + 8]
-                .try_into()
-                .expect("len checked"),
-        ) as usize;
-        let ids_off = graph_end + 8;
-        if data.len() != ids_off + sol_len * 4 {
+        let (len_bytes, ids) = rest.split_at(8);
+        let sol_len = u64::from_le_bytes(len_bytes.try_into().expect("len checked"));
+        if sol_len.checked_mul(4) != Some(ids.len() as u64) {
             return Err(corrupt("snapshot solution length mismatch"));
         }
-        let mut solution = Vec::with_capacity(sol_len);
+        let mut solution = Vec::with_capacity(ids.len() / 4);
         let mut prev: Option<u32> = None;
-        for i in 0..sol_len {
-            let off = ids_off + i * 4;
-            let v = u32::from_le_bytes(data[off..off + 4].try_into().expect("len checked"));
+        for id in ids.chunks_exact(4) {
+            let v = u32::from_le_bytes(id.try_into().expect("chunk of 4"));
             if !graph.is_alive(v) {
                 return Err(corrupt(&format!("solution vertex {v} not in graph")));
             }

@@ -298,3 +298,56 @@ fn recovery_then_more_updates_then_recovery_again() {
     let engine = prepared.attach(flavor.build(builder)).unwrap();
     assert_eq!(engine.solution(), r.solution);
 }
+
+/// A checkpoint taken after vertex slots were freed out of id order
+/// must recycle them in the live order on recovery: the WAL tail's
+/// vertex insertion takes the most recently freed slot again.
+#[test]
+fn checkpoint_with_out_of_order_frees_replays_a_vertex_insert() {
+    let storage = MemStorage::new();
+    let arc: Arc<dyn WalStorage> = Arc::new(storage.clone());
+    let opts = DurableOptions {
+        sync: SyncPolicy::Never,
+        checkpoint_every: 4,
+        ..DurableOptions::default()
+    };
+    let g = DynamicGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+    let mut prepared = prepare(Arc::clone(&arc), 2, opts).unwrap();
+    let builder = prepared.resume_builder(EngineBuilder::on(g).k(2));
+    let mut live = prepared.attach(builder.build().unwrap()).unwrap();
+    // Four accepted updates: the checkpoint at seq 4 holds slots 3 and
+    // 1 free, with 1 next in line.
+    for u in [
+        Update::RemoveVertex(3),
+        Update::RemoveVertex(1),
+        Update::InsertEdge(0, 2),
+        Update::InsertEdge(0, 5),
+    ] {
+        live.try_apply(&u).unwrap();
+    }
+    assert_eq!(live.graph().next_vertex_id(), 1);
+    live.try_apply(&Update::InsertVertex {
+        id: 1,
+        neighbors: vec![0, 4],
+    })
+    .unwrap();
+    let (solution, seq) = (live.solution(), live.last_seq());
+    let mut edges: Vec<_> = live.graph().edges().collect();
+    let next_id = live.graph().next_vertex_id();
+    drop(live);
+
+    let mut prepared = prepare(arc, 2, opts).unwrap();
+    assert_eq!(
+        (prepared.checkpoint_seq, prepared.recovered_seq),
+        (4, seq),
+        "the vertex insert is in the replayed tail"
+    );
+    let builder = prepared.resume_builder(EngineBuilder::on(DynamicGraph::new()).k(2));
+    let recovered = prepared.attach(builder.build().unwrap()).unwrap();
+    assert_eq!(recovered.solution(), solution);
+    assert_eq!(recovered.graph().next_vertex_id(), next_id);
+    let mut recovered_edges: Vec<_> = recovered.graph().edges().collect();
+    edges.sort_unstable();
+    recovered_edges.sort_unstable();
+    assert_eq!(recovered_edges, edges);
+}

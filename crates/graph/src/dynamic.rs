@@ -173,6 +173,21 @@ impl DynamicGraph {
         self.free.last().copied().unwrap_or(self.adj.len() as u32)
     }
 
+    /// Freed vertex slots in recycling order: the last one is the next
+    /// id [`DynamicGraph::add_vertex`] hands out.
+    pub(crate) fn free_slots(&self) -> &[VertexId] {
+        &self.free
+    }
+
+    /// Replaces the free-slot stack. Every entry must be a dead slot,
+    /// listed once; the binary decoder checks both before calling.
+    pub(crate) fn set_free_slots(&mut self, free: Vec<VertexId>) {
+        debug_assert!(free
+            .iter()
+            .all(|&v| !self.is_alive(v) && (v as usize) < self.capacity()));
+        self.free = free;
+    }
+
     /// Adds a vertex, recycling a freed slot when possible.
     pub fn add_vertex(&mut self) -> VertexId {
         self.n_alive += 1;

@@ -4,16 +4,22 @@
 //!
 //! ```text
 //! magic   4 bytes  "DYNG"
-//! version u16      currently 1
+//! version u16      2 (version 1 streams still decode)
 //! slots   u32      number of vertex slots (capacity)
 //! alive   ⌈slots/8⌉ bytes, LSB-first bitmap of live vertices
+//! nfree   u32      free-slot count                  (version 2 only)
+//! free    nfree × u32, the free-slot stack, bottom first (version 2 only)
 //! m       u64      edge count
 //! edges   m × (u32, u32) with u < v
 //! ```
 //!
 //! Unlike the text formats this codec is *exact*: dead vertex slots and
-//! therefore vertex ids survive a round trip, so an engine can resume a
-//! workload from a snapshot without id remapping.
+//! therefore vertex ids survive a round trip, and so does the order in
+//! which freed slots are recycled. The decoded graph hands out the same
+//! ids for later vertex insertions as the live one, so an engine can
+//! resume from a snapshot and replay a logged update stream on top of
+//! it without id remapping. Version 1 kept no free-slot stack; its
+//! decoder frees the dead slots in ascending id order.
 
 use crate::error::GraphError;
 use crate::{DynamicGraph, Result};
@@ -21,7 +27,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"DYNG";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 /// Little-endian reader over a byte slice (std-only stand-in for the
 /// `bytes::Buf` cursor this module originally used).
@@ -57,7 +63,9 @@ impl<'a> Reader<'a> {
 pub fn encode_graph(g: &DynamicGraph) -> Vec<u8> {
     let slots = g.capacity();
     let bitmap_len = slots.div_ceil(8);
-    let mut buf = Vec::with_capacity(4 + 2 + 4 + bitmap_len + 8 + g.num_edges() * 8);
+    let free = g.free_slots();
+    let mut buf =
+        Vec::with_capacity(4 + 2 + 4 + bitmap_len + 4 + free.len() * 4 + 8 + g.num_edges() * 8);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(slots as u32).to_le_bytes());
@@ -66,6 +74,10 @@ pub fn encode_graph(g: &DynamicGraph) -> Vec<u8> {
         bitmap[(v / 8) as usize] |= 1 << (v % 8);
     }
     buf.extend_from_slice(&bitmap);
+    buf.extend_from_slice(&(free.len() as u32).to_le_bytes());
+    for &v in free {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
     let mut edges: Vec<_> = g.edges().collect();
     edges.sort_unstable();
     buf.extend_from_slice(&(edges.len() as u64).to_le_bytes());
@@ -78,10 +90,18 @@ pub fn encode_graph(g: &DynamicGraph) -> Vec<u8> {
 
 /// Deserializes a graph from a byte slice produced by [`encode_graph`].
 pub fn decode_graph(data: &[u8]) -> Result<DynamicGraph> {
-    let corrupt = |message: &str| GraphError::Parse {
-        line: 0,
-        message: message.into(),
-    };
+    let (g, used) = decode_graph_prefix(data)?;
+    if used < data.len() {
+        return Err(corrupt("trailing bytes after edge section"));
+    }
+    Ok(g)
+}
+
+/// Deserializes the graph at the front of `data` and reports how many
+/// bytes it occupied, for containers that append sections of their own
+/// after it (engine snapshots).
+pub fn decode_graph_prefix(data: &[u8]) -> Result<(DynamicGraph, usize)> {
+    let total = data.len();
     let mut data = Reader { data };
     if data.remaining() < 10 {
         return Err(corrupt("truncated header"));
@@ -90,25 +110,52 @@ pub fn decode_graph(data: &[u8]) -> Result<DynamicGraph> {
         return Err(corrupt("bad magic (not a dynamis binary graph)"));
     }
     let version = data.get_u16_le();
-    if version != VERSION {
+    if version != 1 && version != VERSION {
         return Err(corrupt(&format!("unsupported version {version}")));
     }
     let slots = data.get_u32_le() as usize;
     let bitmap_len = slots.div_ceil(8);
-    if data.remaining() < bitmap_len + 8 {
+    if data.remaining() < bitmap_len {
         return Err(corrupt("truncated bitmap"));
     }
     let bitmap = data.take(bitmap_len);
+    let alive = |v: u32| bitmap[(v / 8) as usize] & (1 << (v % 8)) != 0;
 
     let mut g = DynamicGraph::with_capacity(slots);
     g.add_vertices(slots);
     // Kill the dead slots after allocating all of them, so surviving ids
-    // match the encoder's exactly.
+    // match the encoder's exactly. This frees them in ascending order,
+    // which is version 1's recycling order.
     for v in 0..slots as u32 {
-        if bitmap[(v / 8) as usize] & (1 << (v % 8)) == 0 {
+        if !alive(v) {
             g.remove_vertex(v)
                 .expect("freshly added vertex is removable");
         }
+    }
+    if version >= 2 {
+        if data.remaining() < 4 {
+            return Err(corrupt("truncated free-slot count"));
+        }
+        let nfree = data.get_u32_le() as usize;
+        if nfree > slots {
+            return Err(corrupt("more free slots than slots"));
+        }
+        if data.remaining() / 4 < nfree {
+            return Err(corrupt("truncated free-slot stack"));
+        }
+        let mut listed = vec![false; slots];
+        let mut free = Vec::with_capacity(nfree);
+        for _ in 0..nfree {
+            let v = data.get_u32_le();
+            if v as usize >= slots || alive(v) || std::mem::replace(&mut listed[v as usize], true) {
+                return Err(corrupt(&format!("bad free slot {v}")));
+            }
+            free.push(v);
+        }
+        g.set_free_slots(free);
+    }
+    if data.remaining() < 8 {
+        return Err(corrupt("truncated edge count"));
     }
     let m = data.get_u64_le() as usize;
     // checked_mul: a crafted edge count must yield Err, not an overflow
@@ -132,10 +179,14 @@ pub fn decode_graph(data: &[u8]) -> Result<DynamicGraph> {
             return Err(corrupt("duplicate edge in binary stream"));
         }
     }
-    if data.remaining() > 0 {
-        return Err(corrupt("trailing bytes after edge section"));
+    Ok((g, total - data.remaining()))
+}
+
+fn corrupt(message: &str) -> GraphError {
+    GraphError::Parse {
+        line: 0,
+        message: message.into(),
     }
-    Ok(g)
 }
 
 /// Writes a binary snapshot to a file.
@@ -182,6 +233,66 @@ mod tests {
         assert_eq!(g2.num_vertices(), 4);
     }
 
+    /// Slots freed out of id order (3, then 1) are recycled last-freed
+    /// first. The decoded graph must hand out the same ids as the live
+    /// one, or a logged vertex insertion replayed on top of it diverges.
+    #[test]
+    fn round_trip_preserves_slot_recycling_order() {
+        let mut g = DynamicGraph::from_edges(6, &[(0, 1), (2, 3), (4, 5)]);
+        g.remove_vertex(3).unwrap();
+        g.remove_vertex(1).unwrap();
+        let mut g2 = decode_graph(&encode_graph(&g)).unwrap();
+        assert_eq!(g2.next_vertex_id(), 1);
+        for _ in 0..3 {
+            assert_eq!(g2.add_vertex(), g.add_vertex());
+        }
+        g2.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn version_1_streams_still_decode() {
+        // 4 slots, slot 2 dead, one edge (0, 3); no free-slot stack.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&1u16.to_le_bytes());
+        buf.extend_from_slice(&4u32.to_le_bytes());
+        buf.push(0b1011);
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&3u32.to_le_bytes());
+        let g = decode_graph(&buf).unwrap();
+        assert_eq!((g.capacity(), g.num_vertices()), (4, 3));
+        assert!(!g.is_alive(2) && g.has_edge(0, 3));
+        assert_eq!(g.next_vertex_id(), 2);
+        let (_, used) = decode_graph_prefix(&buf).unwrap();
+        assert_eq!(used, buf.len());
+    }
+
+    #[test]
+    fn bad_free_slot_stacks_are_rejected() {
+        let mut g = DynamicGraph::from_edges(4, &[(0, 1)]);
+        g.remove_vertex(2).unwrap();
+        g.remove_vertex(3).unwrap();
+        let good = encode_graph(&g);
+        // Header (10) + 1-byte bitmap, then the count and two entries.
+        let count_at = 11;
+        let entry = |i: usize| count_at + 4 + 4 * i;
+        let patched = |at: usize, value: u32| {
+            let mut b = good.clone();
+            b[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            b
+        };
+        assert!(decode_graph(&good).is_ok());
+        assert!(decode_graph(&patched(entry(0), 0)).is_err(), "live slot");
+        assert!(decode_graph(&patched(entry(0), 9)).is_err(), "out of range");
+        assert!(decode_graph(&patched(entry(1), 2)).is_err(), "listed twice");
+        assert!(
+            decode_graph(&patched(count_at, 5)).is_err(),
+            "count > slots"
+        );
+        assert!(decode_graph(&patched(count_at, 3)).is_err(), "truncated");
+    }
+
     #[test]
     fn empty_graph_round_trips() {
         let g = DynamicGraph::new();
@@ -205,14 +316,20 @@ mod tests {
         let mut bad_version = good.to_vec();
         bad_version[4] = 9;
         assert!(decode_graph(&bad_version).is_err(), "version");
-        // Overflowing edge count must be a clean Err, not a panic.
-        let mut huge_m = Vec::new();
-        huge_m.extend_from_slice(MAGIC);
-        huge_m.extend_from_slice(&VERSION.to_le_bytes());
-        huge_m.extend_from_slice(&0u32.to_le_bytes());
-        huge_m.extend_from_slice(&(u64::MAX / 4).to_le_bytes());
-        huge_m.extend_from_slice(&[0u8; 8]);
-        assert!(decode_graph(&huge_m).is_err(), "overflowing edge count");
+        // Overflowing edge count must be a clean Err, not a panic, in
+        // either version's layout.
+        for version in [1u16, VERSION] {
+            let mut huge_m = Vec::new();
+            huge_m.extend_from_slice(MAGIC);
+            huge_m.extend_from_slice(&version.to_le_bytes());
+            huge_m.extend_from_slice(&0u32.to_le_bytes());
+            if version >= 2 {
+                huge_m.extend_from_slice(&0u32.to_le_bytes());
+            }
+            huge_m.extend_from_slice(&(u64::MAX / 4).to_le_bytes());
+            huge_m.extend_from_slice(&[0u8; 8]);
+            assert!(decode_graph(&huge_m).is_err(), "overflowing edge count");
+        }
     }
 
     #[test]
@@ -223,6 +340,7 @@ mod tests {
         buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.push(0b11);
+        buf.extend_from_slice(&0u32.to_le_bytes());
         buf.extend_from_slice(&1u64.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());

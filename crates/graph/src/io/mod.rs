@@ -21,7 +21,7 @@ pub mod dimacs;
 pub mod edgelist;
 pub mod metis;
 
-pub use binary::{decode_graph, encode_graph, read_binary, write_binary};
+pub use binary::{decode_graph, decode_graph_prefix, encode_graph, read_binary, write_binary};
 pub use dimacs::{parse_dimacs, read_dimacs, write_dimacs};
 pub use edgelist::{
     parse_edge_list, read_csr, read_dynamic, write_edge_list, write_edge_list_path,

@@ -15,7 +15,10 @@
 //! Sessions are cheap threads because they are short-lived or mostly
 //! parked in a read: queries answer from a forked [`ReaderHandle`]
 //! (one atomic load when caught up), updates go through the non-
-//! blocking ingest path behind the [`Admission`] gate. A `Subscribe`
+//! blocking ingest path behind the [`Admission`] gate. A connection
+//! that has not completed `Hello` within a few seconds is refused with
+//! `ERR_ORDER` and closed, so silent sockets cannot hold every
+//! [`NetConfig::max_sessions`] slot. A `Subscribe`
 //! converts the connection: the session replies, hands the socket to
 //! one of the hub workers (round-robin), and exits — so ten thousand
 //! subscribers cost ten thousand sockets owned by [`NetConfig::hubs`]
@@ -36,6 +39,13 @@
 //! the log window) is force-reseeded with a fresh checkpoint after
 //! [`NetConfig::straggler_rounds`] consecutive saturated rounds rather
 //! than being allowed to lag forever.
+//!
+//! Hub workers never poll. Each registers its thread with the log
+//! ([`SharedLog::wake_on_publish`]) and parks until one of three wake
+//! sources unparks it: a publish, a session handing it a subscriber,
+//! or shutdown. A wake that lands between a worker's last check and
+//! its park makes the park return at once, so none is lost; the park's
+//! long timeout is only a safety net.
 //!
 //! Filtered subscriptions ([`SubFilter`]) are masked hub-side: deltas
 //! are intersected with the filter, entries that mask to empty are
@@ -60,8 +70,20 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
+
+/// Session read timeout: how often a session blocked in `read` checks
+/// for shutdown and for its handshake deadline.
+const SESSION_TICK: Duration = Duration::from_millis(20);
+/// Time a connection has to complete `Hello`. Past it the session
+/// answers `ERR_ORDER` and closes, so silent connections cannot hold
+/// every `max_sessions` slot.
+const HELLO_DEADLINE: Duration = Duration::from_secs(3);
+/// Longest idle hub park. Publishes, handoffs and shutdown each unpark
+/// the hub, so this bounds only the cost of a wake that never comes;
+/// nothing waits for it in normal operation.
+const HUB_PARK_SAFETY_NET: Duration = Duration::from_millis(250);
 
 /// Tuning knobs for [`NetServer::bind`].
 #[derive(Debug, Clone, Copy)]
@@ -77,8 +99,6 @@ pub struct NetConfig {
     /// Maximum log entries a straggling subscriber is advanced per hub
     /// round (caught-up subscribers ride the shared blob instead).
     pub sub_batch: usize,
-    /// Hub idle poll and session read-timeout granularity.
-    pub poll: Duration,
     /// Per-subscriber write timeout; a subscriber that cannot absorb a
     /// round's deltas within it is dropped (it reconnects and resumes).
     pub write_timeout: Duration,
@@ -88,7 +108,8 @@ pub struct NetConfig {
     /// Fan-out hub workers. Subscribers are assigned round-robin at
     /// `Subscribe`; each worker tails the log independently, sharing
     /// the encode-once frame cache, so blocking subscriber writes
-    /// overlap across workers. 0 is treated as 1.
+    /// overlap across workers. An idle worker parks until a publish, a
+    /// subscriber handoff or shutdown wakes it. 0 is treated as 1.
     pub hubs: usize,
     /// Consecutive saturated straggler rounds (a full `sub_batch`
     /// advance that still leaves the subscriber more than `sub_batch`
@@ -109,7 +130,6 @@ impl Default for NetConfig {
             shed_high: 768,
             shed_low: 256,
             sub_batch: 256,
-            poll: Duration::from_millis(1),
             write_timeout: Duration::from_secs(2),
             flush_timeout: Duration::from_secs(30),
             hubs: 1,
@@ -332,6 +352,15 @@ struct Sub {
     lag: Option<SubLag>,
 }
 
+/// The way into one hub worker: its handoff channel, and its thread,
+/// which the handing-off session unparks so the hub installs the new
+/// subscriber at once.
+#[derive(Clone)]
+struct HubDoor {
+    tx: mpsc::Sender<Sub>,
+    thread: Thread,
+}
+
 /// A registered `net_sub_lag_<id>` gauge. Registered at hub install,
 /// unregistered on drop, so the registry tracks *live* subscribers —
 /// every drop path (write failure, timeout drop, shutdown flush)
@@ -386,23 +415,25 @@ impl NetServer {
             rr: AtomicUsize::new(0),
             next_sub_id: AtomicU64::new(0),
         });
-        let mut sub_txs = Vec::with_capacity(hubs_n);
+        let mut doors = Vec::with_capacity(hubs_n);
         let mut hubs = Vec::with_capacity(hubs_n);
         for i in 0..hubs_n {
             let (tx, rx) = mpsc::channel::<Sub>();
-            sub_txs.push(tx);
             let hub_shared = Arc::clone(&shared);
-            hubs.push(
-                thread::Builder::new()
-                    .name(format!("dynamis-net-hub-{i}"))
-                    .spawn(move || hub_loop(&hub_shared, rx, i))
-                    .expect("failed to spawn net hub thread"),
-            );
+            let hub = thread::Builder::new()
+                .name(format!("dynamis-net-hub-{i}"))
+                .spawn(move || hub_loop(&hub_shared, rx, i))
+                .expect("failed to spawn net hub thread");
+            doors.push(HubDoor {
+                tx,
+                thread: hub.thread().clone(),
+            });
+            hubs.push(hub);
         }
         let acc_shared = Arc::clone(&shared);
         let acceptor = thread::Builder::new()
             .name("dynamis-net-accept".into())
-            .spawn(move || accept_loop(listener, &acc_shared, sub_txs))
+            .spawn(move || accept_loop(listener, &acc_shared, doors))
             .expect("failed to spawn net acceptor thread");
         Ok(NetServerHandle {
             local_addr,
@@ -443,6 +474,10 @@ impl NetServerHandle {
     /// they are joined here).
     pub fn shutdown(self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        // Idle hubs are parked: wake each to see the stop flag.
+        for hub in &self.hubs {
+            hub.thread().unpark();
+        }
         // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         let _ = self.acceptor.join();
@@ -452,7 +487,7 @@ impl NetServerHandle {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, sub_txs: Vec<mpsc::Sender<Sub>>) {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, doors: Vec<HubDoor>) {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let stream = match listener.accept() {
@@ -477,10 +512,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, sub_txs: Vec<mpsc::S
             continue;
         }
         let s = Arc::clone(shared);
-        let txs = sub_txs.clone();
+        let hub_doors = doors.clone();
         match thread::Builder::new()
             .name("dynamis-net-session".into())
-            .spawn(move || session_loop(stream, &s, txs))
+            .spawn(move || session_loop(stream, &s, hub_doors))
         {
             Ok(j) => sessions.push(j),
             // The stream died with the unspawned closure; all we can
@@ -488,7 +523,6 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, sub_txs: Vec<mpsc::S
             Err(_) => shared.admission.count_shed(),
         }
     }
-    drop(sub_txs);
     for j in sessions {
         let _ = j.join();
     }
@@ -517,10 +551,11 @@ fn send(stream: &mut TcpStream, resp: &Response, payload: &mut Vec<u8>, out: &mu
     stream.write_all(out).is_ok()
 }
 
-fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::Sender<Sub>>) {
+fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, doors: Vec<HubDoor>) {
     shared.counters.sessions.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.poll.max(Duration::from_millis(20))));
+    let _ = stream.set_read_timeout(Some(SESSION_TICK));
+    let hello_deadline = Instant::now() + HELLO_DEADLINE;
     let mut fb = FrameBuffer::new();
     let mut chunk = [0u8; 16 * 1024];
     let mut payload = Vec::new();
@@ -688,21 +723,23 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::
                             .counters
                             .subscriptions
                             .fetch_add(1, Ordering::Relaxed);
-                        let hub = shared.rr.fetch_add(1, Ordering::Relaxed) % sub_txs.len();
-                        if sub_txs[hub]
-                            .send(Sub {
-                                stream,
-                                seq: after_seq,
-                                filter,
-                                behind: 0,
-                                lag: None,
-                            })
-                            .is_err()
-                        {
-                            shared
-                                .counters
-                                .subscriptions
-                                .fetch_sub(1, Ordering::Relaxed);
+                        let door = &doors[shared.rr.fetch_add(1, Ordering::Relaxed) % doors.len()];
+                        let sub = Sub {
+                            stream,
+                            seq: after_seq,
+                            filter,
+                            behind: 0,
+                            lag: None,
+                        };
+                        match door.tx.send(sub) {
+                            // Wake the hub so it installs the subscriber now.
+                            Ok(()) => door.thread.unpark(),
+                            Err(_) => {
+                                shared
+                                    .counters
+                                    .subscriptions
+                                    .fetch_sub(1, Ordering::Relaxed);
+                            }
                         }
                     }
                     shared.counters.sessions.fetch_sub(1, Ordering::Relaxed);
@@ -729,6 +766,20 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::
             if !sent || is_shutdown {
                 break 'session;
             }
+        }
+        if !hello_done && Instant::now() >= hello_deadline {
+            // Fail closed: a connection that has not completed the
+            // handshake in time gives its session slot back.
+            send(
+                &mut stream,
+                &Response::Error {
+                    code: ERR_ORDER,
+                    message: "no Hello within the handshake deadline".into(),
+                },
+                &mut payload,
+                &mut out,
+            );
+            break;
         }
         if shared.stop.load(Ordering::SeqCst) {
             break;
@@ -838,6 +889,8 @@ fn install_sub(shared: &Shared, mut sub: Sub) -> Sub {
 /// it, tails the log independently of its siblings, and shares the
 /// encode-once frame cache with them.
 fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
+    // From here on every publish unparks this thread.
+    let _wake = shared.log.wake_on_publish();
     let mut subs: Vec<Sub> = Vec::new();
     let mut hub_seq = 0u64; // newest seq assembled into the shared blob
     let mut blob = Vec::new(); // this round's frames (cache-encoded)
@@ -847,15 +900,9 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
         let stopping = shared.stop.load(Ordering::SeqCst);
         // Install newly handed-off subscribers.
         let mut roster_changed = false;
-        loop {
-            match sub_rx.try_recv() {
-                Ok(sub) => {
-                    subs.push(install_sub(shared, sub));
-                    roster_changed = true;
-                }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => break,
-            }
+        while let Ok(sub) = sub_rx.try_recv() {
+            subs.push(install_sub(shared, sub));
+            roster_changed = true;
         }
         // Assemble this round's new entries into one write blob; the
         // frames come from the shared cache, so across N workers each
@@ -884,7 +931,9 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
             }
         }
         shared.obs.hub_encode.end(t_encode);
-        let mut progressed = !blob.is_empty();
+        // A checkpoint jump counts too: entries past the checkpoint may
+        // already be waiting, and no publish will wake the hub for them.
+        let mut progressed = hub_seq != blob_start;
         let before = subs.len();
         subs.retain_mut(|sub| {
             if sub.seq == blob_start && !blob.is_empty() && sub.filter.is_all() {
@@ -980,22 +1029,10 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
             return;
         }
         if !progressed {
-            // Idle: park on the handoff channel for up to one poll
-            // tick (new log entries are detected next round).
-            match sub_rx.recv_timeout(shared.cfg.poll) {
-                Ok(sub) => {
-                    subs.push(install_sub(shared, sub));
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Acceptor gone: keep serving existing subscribers
-                    // until stop is set.
-                    if subs.is_empty() && shared.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    thread::sleep(shared.cfg.poll);
-                }
-            }
+            // Idle: sleep until a publish, a handoff or shutdown unparks
+            // this thread. A wake that landed since this round's checks
+            // makes the park return at once.
+            thread::park_timeout(HUB_PARK_SAFETY_NET);
         }
     }
 }

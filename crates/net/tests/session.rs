@@ -1,7 +1,7 @@
 //! Session-protocol tests over real loopback sockets: handshake
-//! ordering, version refusal, malformed-frame rejection, query parity
-//! with the in-process reader, the session cap's typed `Busy` refusal,
-//! and net counters served over the wire.
+//! ordering, version refusal, the handshake deadline, malformed-frame
+//! rejection, query parity with the in-process reader, the session
+//! cap's typed `Busy` refusal, and net counters served over the wire.
 
 use dynamis_core::EngineBuilder;
 use dynamis_gen::powerlaw::chung_lu;
@@ -14,6 +14,7 @@ use dynamis_net::proto::{
 use dynamis_net::{NetBackend, NetClient, NetConfig, NetError, NetServer, NetServerHandle};
 use dynamis_serve::{MisService, ReaderHandle, ServeConfig, ServiceHandle};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn serve(
     g: DynamicGraph,
@@ -170,6 +171,51 @@ fn session_cap_refuses_with_busy_and_counts_the_shed() {
     let stats = handle.stats();
     assert_eq!(stats.sessions, 1);
     assert!(stats.shed >= 1, "door refusal must count as shed");
+
+    handle.shutdown();
+    service.shutdown();
+}
+
+/// A connection that never sends `Hello` must not hold a session slot
+/// forever: at the handshake deadline (a few seconds) it gets a typed
+/// ordering error and a close, and the freed slot serves the next
+/// client. A session past `Hello` may idle longer than that deadline.
+#[test]
+fn silent_connection_is_refused_at_the_handshake_deadline() {
+    let g = DynamicGraph::from_edges(3, &[(0, 1)]);
+    let cfg = NetConfig {
+        max_sessions: 1,
+        ..NetConfig::default()
+    };
+    let (handle, service, _reader, addr) = serve(g, cfg);
+
+    let mut silent = TcpStream::connect(&addr).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reply = Vec::new();
+    assert!(read_frame(&mut silent, &mut reply).unwrap());
+    match decode_response(&reply).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, ERR_ORDER),
+        other => panic!("expected an ordering error, got {other:?}"),
+    }
+    assert!(!read_frame(&mut silent, &mut reply).unwrap(), "then close");
+
+    // The silent session's thread may still be exiting when the close
+    // arrives, so the door can answer Busy for a moment.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut client = loop {
+        match NetClient::connect(&addr) {
+            Ok(c) => break c,
+            Err(NetError::Busy { .. }) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10))
+            }
+            Err(e) => panic!("the freed slot must serve a client: {e}"),
+        }
+    };
+    client.ping().unwrap();
+    std::thread::sleep(Duration::from_secs(4));
+    client.ping().unwrap();
 
     handle.shutdown();
     service.shutdown();

@@ -77,7 +77,7 @@ mod stats;
 pub mod wire;
 
 pub use error::ServeError;
-pub use log::{LogTail, SeqEntry, SharedLog};
+pub use log::{LogTail, PublishWake, SeqEntry, SharedLog};
 pub use multi::ShardedReader;
 pub use reader::ReaderHandle;
 pub use service::{

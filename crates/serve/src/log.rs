@@ -13,11 +13,17 @@
 //! remaining entries — so slow readers cost a resync, never unbounded
 //! log growth, and a brand-new reader is just a reader at sequence 0
 //! resyncing like any other.
+//!
+//! Consumers that tail the log on a thread of their own (the network
+//! fan-out hubs) need not poll it: a thread registered with
+//! [`SharedLog::wake_on_publish`] is unparked by every publish, so it
+//! can sleep in [`std::thread::park`] until there is something new.
 
 use dynamis_core::{MirrorError, SolutionDelta, SolutionMirror};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::{self, Thread, ThreadId};
 
 /// One broadcast entry: the net solution change of one applied batch.
 #[derive(Debug)]
@@ -87,6 +93,8 @@ pub struct SharedLog {
     /// caught-up reader answer "anything new?" with one atomic load —
     /// the query fast path takes **no lock at all**.
     head: AtomicU64,
+    /// Threads every publish unparks (see [`SharedLog::wake_on_publish`]).
+    wakers: Mutex<Vec<Thread>>,
 }
 
 impl SharedLog {
@@ -97,29 +105,58 @@ impl SharedLog {
             inner: Mutex::new(LogInner::default()),
             window: window.max(1),
             head: AtomicU64::new(0),
+            wakers: Mutex::new(Vec::new()),
         }
     }
 
     /// Appends one delta as the next sequence number and folds the
-    /// overflow into the checkpoint. Writer-side only. Empty deltas are
-    /// legal entries: multi-log producers publish one per epoch on every
-    /// log so consumers can align heads into a consistent cut.
+    /// overflow into the checkpoint, then unparks every thread
+    /// registered with [`SharedLog::wake_on_publish`]. Writer-side only.
+    /// Empty deltas are legal entries: multi-log producers publish one
+    /// per epoch on every log so consumers can align heads into a
+    /// consistent cut.
     pub fn publish(&self, delta: SolutionDelta) -> u64 {
-        let mut g = self.inner.lock().unwrap();
-        g.head += 1;
-        let seq = g.head;
-        g.entries.push_back(Arc::new(SeqEntry { seq, delta }));
-        while g.entries.len() > self.window {
-            let oldest = g.entries.pop_front().unwrap();
-            g.base
-                .apply(&oldest.delta)
-                .expect("log entries are sequential and exact");
-            g.base_seq = oldest.seq;
+        let seq = {
+            let mut g = self.inner.lock().unwrap();
+            g.head += 1;
+            let seq = g.head;
+            g.entries.push_back(Arc::new(SeqEntry { seq, delta }));
+            while g.entries.len() > self.window {
+                let oldest = g.entries.pop_front().unwrap();
+                g.base
+                    .apply(&oldest.delta)
+                    .expect("log entries are sequential and exact");
+                g.base_seq = oldest.seq;
+            }
+            // Published under the lock: a reader that observes the new
+            // head and then takes the lock is guaranteed to find the
+            // entry.
+            self.head.store(seq, Ordering::Release);
+            seq
+        };
+        // Wake only after the lock is released: a woken consumer goes
+        // straight for `tail_after`, which takes it.
+        for t in self.wakers.lock().unwrap().iter() {
+            t.unpark();
         }
-        // Published under the lock: a reader that observes the new head
-        // and then takes the lock is guaranteed to find the entry.
-        self.head.store(seq, Ordering::Release);
         seq
+    }
+
+    /// Registers the calling thread to be unparked by every later
+    /// [`SharedLog::publish`], until the returned registration drops.
+    /// A thread tailing the log can then sleep in [`thread::park`] (or
+    /// [`thread::park_timeout`]) instead of polling [`SharedLog::head`].
+    ///
+    /// No publish is missed: `publish` stores the new head before it
+    /// unparks, and an unpark that lands before the park makes the park
+    /// return at once. So a consumer that found nothing new with
+    /// [`SharedLog::tail_after`] and then parks is woken by any entry
+    /// published after that check.
+    pub fn wake_on_publish(&self) -> PublishWake<'_> {
+        let me = thread::current();
+        let id = me.id();
+        self.wakers.lock().unwrap().push(me);
+        PublishWake { log: self, id }
     }
 
     /// Newest published sequence number (lock-free).
@@ -302,10 +339,35 @@ impl SharedLog {
     }
 }
 
+/// A thread's registration with [`SharedLog::wake_on_publish`]: every
+/// publish unparks the thread until this drops.
+#[must_use = "publishes stop waking the thread once the registration drops"]
+#[derive(Debug)]
+pub struct PublishWake<'a> {
+    log: &'a SharedLog,
+    id: ThreadId,
+}
+
+impl Drop for PublishWake<'_> {
+    fn drop(&mut self) {
+        // Never panic in drop: a poisoned list is still a valid list.
+        let mut wakers = self
+            .log
+            .wakers
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(i) = wakers.iter().position(|t| t.id() == self.id) {
+            wakers.swap_remove(i);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dynamis_core::EngineStats;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     fn delta(entered: Vec<u32>, left: Vec<u32>) -> SolutionDelta {
         SolutionDelta {
@@ -403,5 +465,36 @@ mod tests {
         let err = r.desync.expect("the refusal is reported, typed");
         assert_eq!(err.vertex(), 2);
         assert_eq!(m.solution(), vec![1, 2], "healed to the true state");
+    }
+
+    #[test]
+    fn publish_unparks_a_registered_thread() {
+        let log = Arc::new(SharedLog::new(16));
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let waiter = {
+            let log = Arc::clone(&log);
+            thread::spawn(move || {
+                let _wake = log.wake_on_publish();
+                ready_tx.send(()).unwrap();
+                // Parks may return spuriously; only the entry ends the
+                // wait. A lost wake would hold the thread for a minute.
+                while log.head() == 0 {
+                    thread::park_timeout(Duration::from_secs(60));
+                }
+                Instant::now()
+            })
+        };
+        ready_rx.recv().unwrap();
+        let published = Instant::now();
+        log.publish(delta(vec![1], vec![]));
+        let woke = waiter.join().unwrap();
+        assert!(
+            woke.duration_since(published) < Duration::from_secs(10),
+            "the publish must wake the parked thread, not its timeout"
+        );
+        assert!(
+            log.wakers.lock().unwrap().is_empty(),
+            "the registration is withdrawn when it drops"
+        );
     }
 }
