@@ -19,8 +19,8 @@
 //!    enforced, so the gap widens relative to the swap-based engines as
 //!    the graph churns.
 //!
-//! This is an emulation (the authors' code is not public); DESIGN.md
-//! records the substitution.
+//! This is an emulation (the authors' code is not public), and this
+//! module doc is the record of that substitution.
 
 use dynamis_core::{
     validate_update, BuildableEngine, DeltaFeed, DynamicMis, EngineBuilder, EngineError, Session,

@@ -15,8 +15,8 @@
 //!   rebuilt between updates, so dependency chains lengthen and the
 //!   search cost grows with the number of updates — the degradation the
 //!   paper's experiments document. This is an emulation from the
-//!   published description (the authors' code is not public); see
-//!   DESIGN.md.
+//!   published description (the authors' code is not public); the
+//!   [`dgdis`] module doc records the substitution.
 //! * [`MaximalOnly`] — maximality repair without any swap; the quality
 //!   floor every swap-based method must beat.
 //! * [`Restart`] — recompute-from-scratch with a static solver every

@@ -1,6 +1,6 @@
-//! Criterion ablations for the design choices DESIGN.md calls out:
-//! perturbation on/off, restart-vs-dynamic maintenance, and workload
-//! shape (uniform vs burst vs window).
+//! Criterion ablations of three design choices: perturbation on/off,
+//! restart-vs-dynamic maintenance, and workload shape (uniform vs burst
+//! vs window).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynamis_baselines::{Restart, RestartSolver};

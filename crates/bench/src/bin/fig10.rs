@@ -1,7 +1,8 @@
 //! **Figure 10** — power-law random (PLR) graphs: response time (a) and
 //! gap/accuracy (b) while the growth exponent β sweeps 1.9 → 2.7
 //! (n = 10⁵ scaled from the paper's 10⁶; generator: Chung–Lu, standing
-//! in for NetworkX — see DESIGN.md).
+//! in for NetworkX under the substitution rules in the
+//! `dynamis_gen::datasets` module doc).
 
 use dynamis_bench::harness::{initial_solution_timed, run, AlgoKind};
 use dynamis_bench::report::{fmt_acc, fmt_duration, fmt_gap, Table};

@@ -1,7 +1,6 @@
 //! # dynamis-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's §V (see DESIGN.md for the
-//! full index):
+//! One binary per table/figure of the paper's §V:
 //!
 //! | binary | reproduces |
 //! |---|---|

@@ -202,16 +202,8 @@ impl EngineBuilder {
                 return Err(EngineError::DeadInitial(v));
             }
         }
-        // Independence: one pass over the members' neighborhoods against
-        // a dense membership bitmap.
-        let mut member = vec![false; graph.capacity()];
-        for &v in &initial {
-            member[v as usize] = true;
-        }
-        for &v in &initial {
-            if let Some(u) = graph.neighbors(v).find(|&u| member[u as usize]) {
-                return Err(EngineError::NotIndependent(v.min(u), v.max(u)));
-            }
+        if let Some((v, u)) = edge_within(&graph, &initial) {
+            return Err(EngineError::NotIndependent(v.min(u), v.max(u)));
         }
         Ok(Session {
             graph,
@@ -237,6 +229,23 @@ impl EngineBuilder {
     pub fn build_as<E: BuildableEngine>(self) -> Result<E, EngineError> {
         E::from_builder(self)
     }
+}
+
+/// The first edge `(v, u)` with both ends in `members` (live vertices),
+/// scanning members in order and each one's neighbors in adjacency
+/// order: one pass over the members' neighborhoods against a dense
+/// membership bitmap. `None` when `members` is independent.
+pub(crate) fn edge_within(graph: &DynamicGraph, members: &[u32]) -> Option<(u32, u32)> {
+    let mut member = vec![false; graph.capacity()];
+    for &v in members {
+        member[v as usize] = true;
+    }
+    members.iter().find_map(|&v| {
+        graph
+            .neighbors(v)
+            .find(|&u| member[u as usize])
+            .map(|u| (v, u))
+    })
 }
 
 /// A validated session description: the graph, a duplicate-free,

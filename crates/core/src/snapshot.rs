@@ -17,6 +17,11 @@
 //! are derived state, rebuilt in O(n + m) by the engine constructor —
 //! which also clears any marks a cloned live graph still carries.
 //!
+//! The durable layer's checkpoints use this encoding but never capture
+//! a `Snapshot`: [`Snapshot::encode_parts`] writes a live engine's graph
+//! and solution straight into the checkpoint buffer, the same bytes
+//! `capture` + `encode` give, without copying the graph.
+//!
 //! Layout after the binary graph section:
 //!
 //! ```text
@@ -24,8 +29,9 @@
 //! ids     sol_len × u32 LE (sorted)
 //! ```
 
+use crate::builder::edge_within;
 use crate::DynamicMis;
-use dynamis_graph::io::binary::{decode_graph_prefix, encode_graph};
+use dynamis_graph::io::binary::{decode_graph_prefix, encode_graph_into, encoded_len};
 use dynamis_graph::{DynamicGraph, GraphError};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -50,14 +56,20 @@ impl Snapshot {
 
     /// Serializes to bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let graph_bytes = encode_graph(&self.graph);
-        let mut out = Vec::with_capacity(graph_bytes.len() + 8 + self.solution.len() * 4);
-        out.extend_from_slice(&graph_bytes);
-        out.extend_from_slice(&(self.solution.len() as u64).to_le_bytes());
-        for &v in &self.solution {
+        let mut out = Vec::new();
+        Self::encode_parts(&self.graph, &self.solution, &mut out);
+        out
+    }
+
+    /// Appends the encoding of a snapshot of `graph` and the sorted
+    /// `solution` to `out`, without building the snapshot.
+    pub fn encode_parts(graph: &DynamicGraph, solution: &[u32], out: &mut Vec<u8>) {
+        out.reserve(encoded_len(graph) + 8 + solution.len() * 4);
+        encode_graph_into(graph, out);
+        out.extend_from_slice(&(solution.len() as u64).to_le_bytes());
+        for &v in solution {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        out
     }
 
     /// Deserializes from bytes produced by [`Snapshot::encode`].
@@ -94,12 +106,8 @@ impl Snapshot {
             solution.push(v);
         }
         // The snapshot must be an independent set — engines trust it.
-        for &v in &solution {
-            for u in graph.neighbors(v) {
-                if solution.binary_search(&u).is_ok() {
-                    return Err(corrupt(&format!("snapshot solution has edge ({v}, {u})")));
-                }
-            }
+        if let Some((v, u)) = edge_within(&graph, &solution) {
+            return Err(corrupt(&format!("snapshot solution has edge ({v}, {u})")));
         }
         Ok(Snapshot { graph, solution })
     }

@@ -328,17 +328,29 @@ pub struct CheckpointHeader {
     pub seq: u64,
 }
 
-/// Encodes a checkpoint file: header plus the snapshot body.
-pub fn encode_checkpoint(k: u32, streams: u32, seq: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(CKPT_HEADER_LEN + body.len());
+/// Encodes a checkpoint file: the header, then the snapshot body that
+/// `write_body` appends to the buffer, so a live engine's state goes
+/// into the file buffer with no intermediate copy. The body length and
+/// CRC are patched into the header afterwards.
+pub fn encode_checkpoint(
+    k: u32,
+    streams: u32,
+    seq: u64,
+    write_body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(CKPT_HEADER_LEN);
     out.extend_from_slice(&CKPT_MAGIC);
     put_u16(&mut out, FORMAT_VERSION);
     put_u32(&mut out, k);
     put_u32(&mut out, streams);
     put_u64(&mut out, seq);
-    put_u64(&mut out, body.len() as u64);
-    put_u32(&mut out, crc32(body));
-    out.extend_from_slice(body);
+    put_u64(&mut out, 0); // body_len, patched below
+    put_u32(&mut out, 0); // body_crc, patched below
+    write_body(&mut out);
+    let body = &out[CKPT_HEADER_LEN..];
+    let (len, crc) = (body.len() as u64, crc32(body));
+    out[26..34].copy_from_slice(&len.to_le_bytes());
+    out[34..38].copy_from_slice(&crc.to_le_bytes());
     out
 }
 

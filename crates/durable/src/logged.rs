@@ -48,12 +48,13 @@ impl Default for DurableOptions {
         DurableOptions {
             streams: 1,
             sync: SyncPolicy::Group,
-            // A checkpoint costs an O(n) snapshot (milliseconds at
-            // paper scale); the engine ingests around a million updates
-            // a second, so a cadence of thousands would spend more time
-            // snapshotting than serving. 128Ki keeps the amortized cost
-            // in the noise while bounding recovery replay below a
-            // couple hundred milliseconds.
+            // A checkpoint stalls the writer for 14–25 ms on a Chung–Lu
+            // graph with n = 100k and ~400k edges (2-vCPU VM, ladder
+            // `durable.checkpoint_ms`); the engine ingests a few hundred
+            // thousand updates a second, so a cadence of thousands would
+            // spend more time checkpointing than serving. 128Ki keeps the
+            // amortized cost in the noise while bounding recovery replay
+            // below a couple hundred milliseconds.
             checkpoint_every: 131_072,
             segment_bytes: 4 << 20,
             keep_checkpoints: 2,
@@ -285,11 +286,9 @@ impl Logged {
         if self.dead || updates.is_empty() {
             return;
         }
-        for u in updates {
-            if let Err(e) = self.wal.append(u) {
-                self.fail(e);
-                return;
-            }
+        if let Err(e) = self.wal.append(updates) {
+            self.fail(e);
+            return;
         }
         self.records.add(updates.len() as u64);
         match self.sync {
@@ -320,7 +319,7 @@ impl Logged {
         }
     }
 
-    /// Captures a snapshot, publishes it atomically (tmp → sync →
+    /// Encodes the engine's state, publishes it atomically (tmp → sync →
     /// rename), rolls the segments, and prunes history below the oldest
     /// retained checkpoint.
     fn write_checkpoint(&mut self) -> std::io::Result<()> {
@@ -329,8 +328,12 @@ impl Logged {
         // falls back to an older one plus exactly these records.
         self.wal.flush()?;
         let seq = self.last_seq();
-        let snapshot = Snapshot::capture(self.inner.as_ref());
-        let bytes = encode_checkpoint(self.k, self.streams, seq, &snapshot.encode());
+        // Straight from the live engine into the file buffer: no copy of
+        // the graph, no intermediate body buffer.
+        let (graph, solution) = (self.inner.graph(), self.inner.solution());
+        let bytes = encode_checkpoint(self.k, self.streams, seq, |body| {
+            Snapshot::encode_parts(graph, &solution, body)
+        });
         let tmp = format!("ckpt-{seq:016}.tmp");
         let name = checkpoint_name(seq);
         self.storage.create(&tmp)?;

@@ -12,6 +12,7 @@
 
 use crate::format::{encode_record, encode_segment_header, segment_name};
 use crate::storage::WalStorage;
+use dynamis_graph::Update;
 use std::collections::BTreeSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,6 +112,9 @@ impl Shared {
 pub(crate) struct Wal {
     storage: Arc<dyn WalStorage>,
     shared: Arc<Mutex<Shared>>,
+    /// Stream count, fixed at construction (the length of
+    /// `Shared::streams`), kept here so routing needs no lock.
+    streams: u64,
     seg_bytes: u64,
     /// Sequence number the next accepted update will get (1-based).
     pub(crate) next_seq: u64,
@@ -124,13 +128,15 @@ impl Wal {
         seg_bytes: u64,
         track_flushed: bool,
     ) -> Wal {
+        let streams = streams.max(1);
         Wal {
             storage,
             shared: Arc::new(Mutex::new(Shared {
-                streams: (0..streams.max(1)).map(|_| None).collect(),
+                streams: (0..streams).map(|_| None).collect(),
                 flushed: BTreeSet::new(),
                 track_flushed,
             })),
+            streams: streams as u64,
             seg_bytes: seg_bytes.max(1024),
             next_seq,
         }
@@ -141,47 +147,50 @@ impl Wal {
         Arc::clone(&self.shared)
     }
 
-    /// Appends one accepted update as the next sequence number. The
-    /// record lands in the stream's buffer; it reaches storage on the
-    /// next group tick, at a roll/checkpoint/sync, or at the buffer
-    /// backstop.
-    pub(crate) fn append(&mut self, update: &dynamis_graph::Update) -> io::Result<u64> {
-        let seq = self.next_seq;
-        let s = (seq % self.num_streams()) as usize;
-        let g = &mut *self.shared.lock().unwrap();
-        if g.streams[s]
-            .as_ref()
-            .is_some_and(|seg| seg.logical() >= self.seg_bytes)
-        {
-            // Write the closing segment out in full before dropping it:
-            // a checkpoint fallback replays these records from disk.
-            g.write_through(&*self.storage, s)?;
-            g.streams[s] = None;
+    /// Appends the accepted `updates` as the next sequence numbers,
+    /// under one lock. Each record lands in its stream's buffer; it
+    /// reaches storage on the next group tick, at a roll/checkpoint/sync,
+    /// or at the buffer backstop. On an error the records before the
+    /// failing one stay appended.
+    pub(crate) fn append(&mut self, updates: &[Update]) -> io::Result<()> {
+        let g = &mut *self
+            .shared
+            .lock()
+            .expect("WAL buffers poisoned: the group-commit thread panicked");
+        for update in updates {
+            let seq = self.next_seq;
+            let s = (seq % self.streams) as usize;
+            if g.streams[s]
+                .as_ref()
+                .is_some_and(|seg| seg.logical() >= self.seg_bytes)
+            {
+                // Write the closing segment out in full before dropping
+                // it: a checkpoint fallback replays these records from
+                // disk.
+                g.write_through(&*self.storage, s)?;
+                g.streams[s] = None;
+            }
+            let seg = match &mut g.streams[s] {
+                Some(seg) => seg,
+                empty => {
+                    let name = segment_name(s as u32, seq);
+                    self.storage.create(&name)?;
+                    let mut buf = Vec::with_capacity(4096);
+                    buf.extend_from_slice(&encode_segment_header(s as u32, seq));
+                    empty.insert(Seg {
+                        name,
+                        written: 0,
+                        buf,
+                    })
+                }
+            };
+            encode_record(seq, update, &mut seg.buf);
+            self.next_seq = seq + 1;
+            if seg.buf.len() >= MAX_BUFFER {
+                g.write_through(&*self.storage, s)?;
+            }
         }
-        if g.streams[s].is_none() {
-            let name = segment_name(s as u32, seq);
-            self.storage.create(&name)?;
-            let mut buf = Vec::with_capacity(4096);
-            buf.extend_from_slice(&encode_segment_header(s as u32, seq));
-            g.streams[s] = Some(Seg {
-                name,
-                written: 0,
-                buf,
-            });
-        }
-        let seg = g.streams[s].as_mut().unwrap();
-        encode_record(seq, update, &mut seg.buf);
-        self.next_seq = seq + 1;
-        if g.streams[s].as_ref().unwrap().buf.len() >= MAX_BUFFER {
-            g.write_through(&*self.storage, s)?;
-        }
-        Ok(seq)
-    }
-
-    fn num_streams(&self) -> u64 {
-        // Stream count is fixed at construction; reading it does not
-        // need the lock (it is the length of the vec, never mutated).
-        self.shared.lock().unwrap().streams.len() as u64
+        Ok(())
     }
 
     /// Writes every stream's buffer through to storage (no fsync).
@@ -301,16 +310,14 @@ mod tests {
     use super::*;
     use crate::format::{decode_record, decode_segment_header, RecordStep, SEGMENT_HEADER_LEN};
     use crate::storage::MemStorage;
-    use dynamis_graph::Update;
 
     #[test]
     fn records_route_round_robin_and_segments_roll() {
         let st = MemStorage::new();
         let mut wal = Wal::new(Arc::new(st.clone()), 2, 1, 1024, true);
-        for i in 0..6u32 {
-            let seq = wal.append(&Update::InsertEdge(i, i + 1)).unwrap();
-            assert_eq!(seq, (i + 1) as u64);
-        }
+        let updates: Vec<_> = (0..6u32).map(|i| Update::InsertEdge(i, i + 1)).collect();
+        wal.append(&updates).unwrap();
+        assert_eq!(wal.next_seq, 7);
         // Records buffer in user space until a flush point.
         wal.flush().unwrap();
         // Streams 0 and 1 each got every other record.
@@ -336,8 +343,8 @@ mod tests {
         }
         // Roll: the next appends open fresh segments.
         wal.roll_all().unwrap();
-        wal.append(&Update::InsertEdge(90, 91)).unwrap();
-        wal.append(&Update::InsertEdge(92, 93)).unwrap();
+        wal.append(&[Update::InsertEdge(90, 91), Update::InsertEdge(92, 93)])
+            .unwrap();
         assert_eq!(st.list().unwrap().len(), 4);
     }
 
@@ -346,7 +353,7 @@ mod tests {
         let st = MemStorage::new();
         let mut wal = Wal::new(Arc::new(st.clone()), 1, 1, 1 << 20, true);
         let group = GroupCommit::spawn(Arc::new(st.clone()), wal.shared());
-        wal.append(&Update::InsertEdge(1, 2)).unwrap();
+        wal.append(&[Update::InsertEdge(1, 2)]).unwrap();
         let name = segment_name(0, 1);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while st.read(&name).unwrap().len() <= SEGMENT_HEADER_LEN {

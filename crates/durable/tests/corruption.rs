@@ -173,6 +173,75 @@ fn damaged_newest_checkpoint_falls_back_without_losing_updates() {
     );
 }
 
+/// A checkpoint whose checksum is intact but whose graph section holds a
+/// malformed edge list (each input reaches the decoder's degree count)
+/// is damage: the decoder refuses it without panicking, and recovery
+/// falls back to the older checkpoint without losing updates.
+#[test]
+fn checksummed_checkpoint_with_bad_edges_falls_back() {
+    let r = record(20);
+    let reference = scan(&r.storage, None, None).unwrap();
+    let newest = format::checkpoint_name(reference.checkpoint_seq);
+    let file = r.storage.read(&newest).unwrap();
+    let (header, body) = file.split_at(format::CKPT_HEADER_LEN);
+    let field = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().unwrap());
+    let (k, streams) = (field(CKPT_K_OFFSET), field(CKPT_K_OFFSET + 4));
+    // DYNG: magic, version, slots, bitmap, free count + stack, then m.
+    let slots = u32::from_le_bytes(body[6..10].try_into().unwrap());
+    let bitmap_end = 10 + slots.div_ceil(8) as usize;
+    let nfree = u32::from_le_bytes(body[bitmap_end..bitmap_end + 4].try_into().unwrap());
+    let m_at = bitmap_end + 4 + 4 * nfree as usize;
+    let m = u64::from_le_bytes(body[m_at..m_at + 8].try_into().unwrap());
+    assert!(m >= 2, "the recorded graph needs two edges to patch");
+    let edge = |i: usize| m_at + 8 + 8 * i;
+    let first = body[edge(0)..edge(1)].to_vec();
+    let with = |at: usize, bytes: &[u8]| {
+        let mut b = body.to_vec();
+        b[at..at + bytes.len()].copy_from_slice(bytes);
+        b
+    };
+    let pair = |u: u32, v: u32| [u.to_le_bytes(), v.to_le_bytes()].concat();
+    // Clearing the first edge's lower endpoint in the liveness bitmap
+    // leaves that edge on a dead slot.
+    let u0 = u32::from_le_bytes(first[..4].try_into().unwrap());
+    let alive_byte = 10 + (u0 / 8) as usize;
+    let bad_bodies = [
+        ("endpoint past the slots", with(edge(0), &pair(0, slots))),
+        (
+            "endpoint on a dead slot",
+            with(alive_byte, &[body[alive_byte] & !(1 << (u0 % 8))]),
+        ),
+        ("reversed endpoints", with(edge(0), &pair(1, 0))),
+        ("duplicate edge", with(edge(1), &first)),
+        (
+            "edge count past the section",
+            with(m_at, &(m + 2).to_le_bytes()),
+        ),
+        (
+            "overflowing edge count",
+            with(m_at, &u64::MAX.to_le_bytes()),
+        ),
+    ];
+    for (what, bad) in bad_bodies {
+        let patched = format::encode_checkpoint(k, streams, reference.checkpoint_seq, |out| {
+            out.extend_from_slice(&bad)
+        });
+        assert!(
+            matches!(
+                format::decode_checkpoint(&patched),
+                format::CheckpointOutcome::Damaged("checkpoint snapshot does not decode")
+            ),
+            "{what}: not refused as an undecodable snapshot"
+        );
+        let fs = fork(&r.storage);
+        fs.overwrite(&newest, patched);
+        let rep = scan(&fs, None, None).unwrap();
+        assert_eq!(rep.skipped_checkpoints, 1, "{what}");
+        assert!(rep.checkpoint_seq < reference.checkpoint_seq, "{what}");
+        assert_eq!(rep.recovered_seq, reference.recovered_seq, "{what}");
+    }
+}
+
 /// Both retained checkpoints damaged: recovery refuses with the typed
 /// `NoCheckpoint` rather than inventing an empty state.
 #[test]

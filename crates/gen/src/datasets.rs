@@ -3,7 +3,7 @@
 //!
 //! The paper's datasets come from SNAP and the Laboratory for Web
 //! Algorithmics and range up to 3.4 billion edges; they are not available
-//! in this environment. Per the substitution policy in DESIGN.md, each
+//! in this environment. This module doc is the substitution policy: each
 //! dataset is replaced by a deterministic Chung–Lu power-law graph with
 //! the **same name**, the **same average degree** d̄ as Table I, and a
 //! vertex count scaled down (n/500, clamped to [2 000, 100 000]) so every

@@ -26,8 +26,8 @@
 //!   `(c₁, c₂, β, t)` of Definition 2 plus the closed-form approximation
 //!   ratio of Theorem 4 and the expectation bound of Lemma 2.
 //! * [`datasets`] — the registry of scaled synthetic stand-ins for the 22
-//!   SNAP/LAW graphs of Table I (see DESIGN.md for the substitution
-//!   rationale).
+//!   SNAP/LAW graphs of Table I (its module doc states the substitution
+//!   rules).
 
 pub mod adversarial;
 pub mod ba;

@@ -26,6 +26,7 @@
 use crate::error::GraphError;
 use crate::hash::{pair_key, FxHashMap};
 use crate::Result;
+use std::collections::hash_map::Entry;
 
 /// Dense vertex identifier. Ids of removed vertices are recycled.
 pub type VertexId = u32;
@@ -278,6 +279,50 @@ impl DynamicGraph {
         if self.edges.contains_key(&key) {
             return Ok(None);
         }
+        let (pu, pv) = self.push_halves(u, v);
+        let a_pos = if u < v { pu } else { pv };
+        self.edges.insert(key, a_pos);
+        Ok(Some(EdgeHandle {
+            u,
+            v,
+            pos_u: pu,
+            pos_v: pv,
+        }))
+    }
+
+    /// [`DynamicGraph::insert_edge`] with one index probe instead of two
+    /// (`entry` in place of `contains_key` + `insert`), for bulk loaders.
+    /// Same checks in the same order, so the same errors.
+    pub(crate) fn insert_edge_one_probe(&mut self, u: VertexId, v: VertexId) -> Result<bool> {
+        if u == v {
+            return Err(GraphError::SelfLoop(u));
+        }
+        self.check_alive(u)?;
+        self.check_alive(v)?;
+        // The index holds the half-edge's position in the smaller
+        // endpoint's list: that list's length before the push.
+        let a_pos = self.adj[u.min(v) as usize].len() as u32;
+        match self.edges.entry(pair_key(u, v)) {
+            Entry::Occupied(_) => return Ok(false),
+            Entry::Vacant(slot) => slot.insert(a_pos),
+        };
+        self.push_halves(u, v);
+        Ok(true)
+    }
+
+    /// Reserves room for `degrees[v]` more half-edges at every slot `v`
+    /// and `edges` more index entries, so a bulk load of known size
+    /// allocates each list once.
+    pub(crate) fn reserve_edges(&mut self, degrees: &[u32], edges: usize) {
+        for (list, &d) in self.adj.iter_mut().zip(degrees) {
+            list.reserve_exact(d as usize);
+        }
+        self.edges.reserve(edges);
+    }
+
+    /// Appends both half-edges of the new edge `(u, v)` and returns their
+    /// positions in `adj[u]` and `adj[v]`. The caller owns the index.
+    fn push_halves(&mut self, u: VertexId, v: VertexId) -> (u32, u32) {
         let pu = self.adj[u as usize].len() as u32;
         let pv = self.adj[v as usize].len() as u32;
         self.adj[u as usize].push(AdjEntry {
@@ -290,14 +335,7 @@ impl DynamicGraph {
             mirror: pu,
             payload: NO_PAYLOAD,
         });
-        let a_pos = if u < v { pu } else { pv };
-        self.edges.insert(key, a_pos);
-        Ok(Some(EdgeHandle {
-            u,
-            v,
-            pos_u: pu,
-            pos_v: pv,
-        }))
+        (pu, pv)
     }
 
     /// Resolves the edge `(u, v)` to its half-edge positions with a single

@@ -61,31 +61,47 @@ impl<'a> Reader<'a> {
 
 /// Serializes a graph into a fresh byte buffer.
 pub fn encode_graph(g: &DynamicGraph) -> Vec<u8> {
-    let slots = g.capacity();
-    let bitmap_len = slots.div_ceil(8);
-    let free = g.free_slots();
-    let mut buf =
-        Vec::with_capacity(4 + 2 + 4 + bitmap_len + 4 + free.len() * 4 + 8 + g.num_edges() * 8);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(slots as u32).to_le_bytes());
-    let mut bitmap = vec![0u8; bitmap_len];
-    for v in g.vertices() {
-        bitmap[(v / 8) as usize] |= 1 << (v % 8);
-    }
-    buf.extend_from_slice(&bitmap);
-    buf.extend_from_slice(&(free.len() as u32).to_le_bytes());
-    for &v in free {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    let mut edges: Vec<_> = g.edges().collect();
-    edges.sort_unstable();
-    buf.extend_from_slice(&(edges.len() as u64).to_le_bytes());
-    for (u, v) in edges {
-        buf.extend_from_slice(&u.to_le_bytes());
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut buf = Vec::new();
+    encode_graph_into(g, &mut buf);
     buf
+}
+
+/// The number of bytes [`encode_graph`] produces for `g`.
+pub fn encoded_len(g: &DynamicGraph) -> usize {
+    4 + 2 + 4 + g.capacity().div_ceil(8) + 4 + g.free_slots().len() * 4 + 8 + g.num_edges() * 8
+}
+
+/// Appends the encoding of `g` to `out` in one pass over the graph,
+/// without copying it. Edges go out vertex by vertex in id order, each
+/// vertex's higher-id neighbors sorted: the lexicographic order of the
+/// whole edge set, from one degree-sized sort per vertex.
+pub fn encode_graph_into(g: &DynamicGraph, out: &mut Vec<u8>) {
+    out.reserve(encoded_len(g));
+    let slots = g.capacity();
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(slots as u32).to_le_bytes());
+    let bitmap = out.len();
+    out.resize(bitmap + slots.div_ceil(8), 0);
+    for v in g.vertices() {
+        out[bitmap + (v / 8) as usize] |= 1 << (v % 8);
+    }
+    let free = g.free_slots();
+    out.extend_from_slice(&(free.len() as u32).to_le_bytes());
+    for &v in free {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out.extend_from_slice(&(g.num_edges() as u64).to_le_bytes());
+    let mut higher = Vec::new();
+    for u in g.vertices() {
+        higher.clear();
+        higher.extend(g.neighbors(u).filter(|&v| v > u));
+        higher.sort_unstable();
+        for &v in &higher {
+            out.extend_from_slice(&u.to_le_bytes());
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
 }
 
 /// Deserializes a graph from a byte slice produced by [`encode_graph`].
@@ -166,14 +182,29 @@ pub fn decode_graph_prefix(data: &[u8]) -> Result<(DynamicGraph, usize)> {
     if data.remaining() < edge_bytes {
         return Err(corrupt("truncated edge section"));
     }
-    for _ in 0..m {
-        let u = data.get_u32_le();
-        let v = data.get_u32_le();
+    let edges = data.take(edge_bytes).chunks_exact(8).map(|e| {
+        let (u, v) = e.split_at(4);
+        let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("chunk of 8"));
+        (word(u), word(v))
+    });
+    // Size every adjacency list and the edge index once, from degrees
+    // counted over the section. The count skips pairs it cannot index;
+    // the insertion pass checks every edge in stream order, so a corrupt
+    // stream is refused with the error of its first bad edge.
+    let mut degree = vec![0u32; slots];
+    for (u, v) in edges.clone() {
+        if u < v && (v as usize) < slots {
+            degree[u as usize] = degree[u as usize].saturating_add(1);
+            degree[v as usize] = degree[v as usize].saturating_add(1);
+        }
+    }
+    g.reserve_edges(&degree, m);
+    for (u, v) in edges {
         if u >= v {
             return Err(corrupt("edge endpoints not strictly ordered"));
         }
         let inserted = g
-            .insert_edge(u, v)
+            .insert_edge_one_probe(u, v)
             .map_err(|e| corrupt(&format!("bad edge ({u},{v}): {e}")))?;
         if !inserted {
             return Err(corrupt("duplicate edge in binary stream"));
@@ -206,8 +237,130 @@ pub fn read_binary<P: AsRef<Path>>(path: P) -> Result<DynamicGraph> {
 }
 
 #[cfg(test)]
+#[path = "binary_reference.rs"]
+mod binary_reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    /// A random graph whose history leaves dead slots, recycled slots and
+    /// a free-slot stack out of id order.
+    fn churned_graph(seed: u64, n: u32) -> DynamicGraph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut g = DynamicGraph::new();
+        g.add_vertices(n as usize);
+        for _ in 0..n * 4 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            match rng.gen_range(0..8u32) {
+                0 => {
+                    let _ = g.remove_vertex(u);
+                }
+                1 => {
+                    g.add_vertex();
+                }
+                _ => {
+                    let _ = g.insert_edge(u, v);
+                }
+            }
+        }
+        g
+    }
+
+    /// A version 2 stream over 4 slots with slot 2 dead and free, the
+    /// given edge count, and the given edges.
+    fn stream_with_edges(m: u64, edges: &[(u32, u32)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&4u32.to_le_bytes());
+        buf.push(0b1011);
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        buf.extend_from_slice(&m.to_le_bytes());
+        for &(u, v) in edges {
+            buf.extend_from_slice(&u.to_le_bytes());
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf
+    }
+
+    fn decode_error(data: &[u8]) -> String {
+        match decode_graph(data) {
+            Err(GraphError::Parse { message, .. }) => message,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-pass encoder writes the bytes of the collect-and-sort
+        /// encoder it replaced: same edge order, same free-slot stack.
+        #[test]
+        fn encode_graph_matches_the_sorted_reference(seed in 0u64..1_000_000, n in 1u32..80) {
+            let g = churned_graph(seed, n);
+            prop_assert_eq!(encode_graph(&g), binary_reference::encode_sorted(&g));
+            prop_assert_eq!(encode_graph(&g).len(), encoded_len(&g));
+        }
+    }
+
+    /// Edge sections that reach the degree count before insertion are
+    /// refused with the error the first bad edge in stream order always
+    /// got, and never panic.
+    #[test]
+    fn malformed_edge_sections_keep_their_errors() {
+        let ok = stream_with_edges(2, &[(0, 1), (1, 3)]);
+        assert_eq!(decode_graph(&ok).unwrap().num_edges(), 2);
+        // (edge count, edges, the error message)
+        type Case = (u64, &'static [(u32, u32)], &'static str);
+        let cases: &[Case] = &[
+            (
+                2,
+                &[(0, 1), (1, 4)],
+                "bad edge (1,4): vertex 4 is not in the graph",
+            ),
+            (1, &[(5, 9)], "bad edge (5,9): vertex 5 is not in the graph"),
+            (
+                1,
+                &[(0, u32::MAX)],
+                "bad edge (0,4294967295): vertex 4294967295 is not in the graph",
+            ),
+            (
+                2,
+                &[(0, 1), (0, 2)],
+                "bad edge (0,2): vertex 2 is not in the graph",
+            ),
+            (1, &[(3, 1)], "edge endpoints not strictly ordered"),
+            (1, &[(1, 1)], "edge endpoints not strictly ordered"),
+            (
+                3,
+                &[(0, 1), (1, 3), (0, 1)],
+                "duplicate edge in binary stream",
+            ),
+            // The first bad edge decides, whatever follows it.
+            (
+                3,
+                &[(0, 1), (0, 1), (0, 9)],
+                "duplicate edge in binary stream",
+            ),
+            (
+                3,
+                &[(0, 9), (0, 1), (0, 1)],
+                "bad edge (0,9): vertex 9 is not in the graph",
+            ),
+            (3, &[(0, 1), (1, 3)], "truncated edge section"),
+            (u64::MAX / 8, &[(0, 1)], "truncated edge section"),
+            (u64::MAX / 8 + 1, &[(0, 1)], "edge count overflows"),
+            (u64::MAX, &[(0, 1)], "edge count overflows"),
+        ];
+        for &(m, edges, want) in cases {
+            let data = stream_with_edges(m, edges);
+            assert_eq!(decode_error(&data), want, "edges {edges:?}, m {m}");
+        }
+    }
 
     #[test]
     fn round_trip_preserves_everything() {

@@ -651,12 +651,16 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
                 Some("never") => SyncPolicy::Never,
                 Some(other) => return Err(format!("bad --wal-sync `{other}`")),
             };
+            let defaults = DurableOptions::default();
             let opts = DurableOptions {
                 streams: shards as u32,
                 sync,
-                checkpoint_every: parse(checkpoint_every.as_deref(), 4096, "checkpoint-every")?
-                    as u64,
-                ..DurableOptions::default()
+                checkpoint_every: parse(
+                    checkpoint_every.as_deref(),
+                    defaults.checkpoint_every as usize,
+                    "checkpoint-every",
+                )? as u64,
+                ..defaults
             };
             let storage: Arc<dyn WalStorage> =
                 Arc::new(FileStorage::open(dir).map_err(|e| format!("opening {dir}: {e}"))?);
