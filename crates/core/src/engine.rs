@@ -580,15 +580,16 @@ impl SwapEngine {
     }
 
     fn insert_edge(&mut self, a: u32, b: u32) -> Result<(), EngineError> {
-        // One existence probe + one index insert — the only hash work in
-        // this update. Validation is fused into the insertion: the graph
-        // rejects self-loops and dead endpoints before mutating, and a
-        // `None` handle means the edge already existed.
+        // One index probe that finds the edge or claims its slot — the
+        // only hash work in this update. Validation is fused into the
+        // insertion: the graph rejects self-loops and dead endpoints
+        // before mutating, and a `None` handle means the edge already
+        // existed.
         let handle = self.st.g.insert_edge_handle(a, b)?;
         let Some(h) = handle else {
             return Err(EngineError::DuplicateEdge(a, b));
         };
-        self.stats.entry_hash_probes += 2;
+        self.stats.entry_hash_probes += 1;
         match (self.st.in_solution(a), self.st.in_solution(b)) {
             (false, false) => {} // counts unchanged; no new swap can appear
             (true, false) => {
@@ -756,7 +757,7 @@ impl SwapEngine {
         self.st.ensure_capacity(cap);
         self.c1.ensure_capacity(cap);
         for &n in neighbors {
-            self.stats.entry_hash_probes += 2;
+            self.stats.entry_hash_probes += 1;
             let h = self
                 .st
                 .g

@@ -133,6 +133,20 @@ mod tests {
     }
 
     #[test]
+    fn entry_probes_count_one_per_inserted_edge() {
+        let g = DynamicGraph::from_edges(4, &[(0, 1), (1, 2)]);
+        let mut e = build(g, &[]);
+        let mut probes = |u: Update| e.try_apply(&u).unwrap().stats.entry_hash_probes;
+        assert_eq!(probes(Update::InsertEdge(2, 3)), 1);
+        assert_eq!(probes(Update::RemoveEdge(0, 1)), 2);
+        let grow = Update::InsertVertex {
+            id: 4,
+            neighbors: vec![0, 3],
+        };
+        assert_eq!(probes(grow), 2);
+    }
+
+    #[test]
     fn invalid_updates_are_rejected_without_state_change() {
         let g = DynamicGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let mut e = build(g, &[]);

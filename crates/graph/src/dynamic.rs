@@ -267,64 +267,23 @@ impl DynamicGraph {
     /// Inserts the undirected edge `(u, v)`, returning the handle of the
     /// freshly inserted edge — `None` if the edge already existed.
     ///
-    /// This is the hot-path insertion entry point: the caller gets the
-    /// half-edge positions without a second index probe.
+    /// This is the hot-path insertion entry point: one index probe finds
+    /// the edge or claims its slot, and the caller gets the half-edge
+    /// positions without a second probe.
     pub fn insert_edge_handle(&mut self, u: VertexId, v: VertexId) -> Result<Option<EdgeHandle>> {
         if u == v {
             return Err(GraphError::SelfLoop(u));
         }
         self.check_alive(u)?;
         self.check_alive(v)?;
-        let key = pair_key(u, v);
-        if self.edges.contains_key(&key) {
-            return Ok(None);
-        }
-        let (pu, pv) = self.push_halves(u, v);
-        let a_pos = if u < v { pu } else { pv };
-        self.edges.insert(key, a_pos);
-        Ok(Some(EdgeHandle {
-            u,
-            v,
-            pos_u: pu,
-            pos_v: pv,
-        }))
-    }
-
-    /// [`DynamicGraph::insert_edge`] with one index probe instead of two
-    /// (`entry` in place of `contains_key` + `insert`), for bulk loaders.
-    /// Same checks in the same order, so the same errors.
-    pub(crate) fn insert_edge_one_probe(&mut self, u: VertexId, v: VertexId) -> Result<bool> {
-        if u == v {
-            return Err(GraphError::SelfLoop(u));
-        }
-        self.check_alive(u)?;
-        self.check_alive(v)?;
-        // The index holds the half-edge's position in the smaller
-        // endpoint's list: that list's length before the push.
-        let a_pos = self.adj[u.min(v) as usize].len() as u32;
-        match self.edges.entry(pair_key(u, v)) {
-            Entry::Occupied(_) => return Ok(false),
-            Entry::Vacant(slot) => slot.insert(a_pos),
-        };
-        self.push_halves(u, v);
-        Ok(true)
-    }
-
-    /// Reserves room for `degrees[v]` more half-edges at every slot `v`
-    /// and `edges` more index entries, so a bulk load of known size
-    /// allocates each list once.
-    pub(crate) fn reserve_edges(&mut self, degrees: &[u32], edges: usize) {
-        for (list, &d) in self.adj.iter_mut().zip(degrees) {
-            list.reserve_exact(d as usize);
-        }
-        self.edges.reserve(edges);
-    }
-
-    /// Appends both half-edges of the new edge `(u, v)` and returns their
-    /// positions in `adj[u]` and `adj[v]`. The caller owns the index.
-    fn push_halves(&mut self, u: VertexId, v: VertexId) -> (u32, u32) {
+        // The half-edges land at the ends of both lists; the index holds
+        // the position in the smaller endpoint's list.
         let pu = self.adj[u as usize].len() as u32;
         let pv = self.adj[v as usize].len() as u32;
+        match self.edges.entry(pair_key(u, v)) {
+            Entry::Occupied(_) => return Ok(None),
+            Entry::Vacant(slot) => slot.insert(if u < v { pu } else { pv }),
+        };
         self.adj[u as usize].push(AdjEntry {
             neighbor: v,
             mirror: pv,
@@ -335,7 +294,26 @@ impl DynamicGraph {
             mirror: pu,
             payload: NO_PAYLOAD,
         });
-        (pu, pv)
+        Ok(Some(EdgeHandle {
+            u,
+            v,
+            pos_u: pu,
+            pos_v: pv,
+        }))
+    }
+
+    /// Sizes a graph that has no edges yet for a bulk load of known size:
+    /// `edges` index entries, and at every slot `v` the capacity that
+    /// pushing `degrees[v]` half-edges one by one grows (the next power
+    /// of two, at least 4). Each list is allocated once and keeps the
+    /// room for later inserts that an edge-by-edge load leaves.
+    pub(crate) fn reserve_edges(&mut self, degrees: &[u32], edges: usize) {
+        for (list, &d) in self.adj.iter_mut().zip(degrees) {
+            if d > 0 {
+                list.reserve_exact((d as usize).next_power_of_two().max(4));
+            }
+        }
+        self.edges.reserve(edges);
     }
 
     /// Resolves the edge `(u, v)` to its half-edge positions with a single

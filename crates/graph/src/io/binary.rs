@@ -204,7 +204,7 @@ pub fn decode_graph_prefix(data: &[u8]) -> Result<(DynamicGraph, usize)> {
             return Err(corrupt("edge endpoints not strictly ordered"));
         }
         let inserted = g
-            .insert_edge_one_probe(u, v)
+            .insert_edge(u, v)
             .map_err(|e| corrupt(&format!("bad edge ({u},{v}): {e}")))?;
         if !inserted {
             return Err(corrupt("duplicate edge in binary stream"));
