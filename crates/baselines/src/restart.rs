@@ -151,7 +151,7 @@ impl DynamicMis for Restart {
     fn try_apply(&mut self, upd: &Update) -> Result<SolutionDelta, EngineError> {
         // Edge ops fuse validation into the graph call (the graph checks
         // self-loops and aliveness before mutating; the boolean return
-        // classifies duplicates/missing) — no duplicate hash probe. The
+        // classifies duplicates/missing) — no second edge lookup. The
         // rare vertex ops pre-validate with `validate_update`.
         match upd {
             Update::InsertEdge(a, b) => {

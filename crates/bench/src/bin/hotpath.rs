@@ -11,8 +11,8 @@
 //! * allocator calls per update (via the tracking global allocator),
 //! * bookkeeping hash probes per update — **0 by construction** for the
 //!   intrusive layout, one-or-more per count transition for the baseline,
-//! * entry-point pair-index probes per update (intrusive engines only;
-//!   the baseline buries them inside `insert_edge`/`remove_edge`),
+//! * tracked peak heap bytes per final edge, from before the base graph
+//!   is cloned through the build and the whole stream,
 //! * final solution size and approximate heap bytes.
 //!
 //! Writes `BENCH_PR1.json` (override with `DYNAMIS_BENCH_OUT`); honors
@@ -37,7 +37,7 @@ struct EngineReport {
     allocs_per_update: f64,
     hot_hash_probes: u64,
     hot_probes_per_update: f64,
-    entry_probes_per_update: f64,
+    peak_bytes_per_edge: f64,
     solution_size: usize,
     heap_bytes: usize,
     build_secs: f64,
@@ -55,6 +55,10 @@ where
     B: FnOnce() -> E,
     E: HotProbes,
 {
+    // The peak covers the engine's whole life: the base-graph clone, the
+    // build, and every update.
+    alloc_track::reset_peak();
+    let heap_before = alloc_track::current_bytes();
     let t0 = Instant::now();
     let mut e = build();
     let build_secs = t0.elapsed().as_secs_f64();
@@ -69,6 +73,7 @@ where
     let allocs = alloc_track::alloc_count() - allocs_before;
     let hot = e.hot_probes() - probes_before;
     let n_ups = ups.len() as f64;
+    let peak = alloc_track::peak_bytes() - heap_before;
 
     EngineReport {
         name,
@@ -77,7 +82,7 @@ where
         allocs_per_update: allocs as f64 / n_ups,
         hot_hash_probes: hot,
         hot_probes_per_update: hot as f64 / n_ups,
-        entry_probes_per_update: e.entry_probes().map_or(f64::NAN, |p| p as f64 / n_ups),
+        peak_bytes_per_edge: peak as f64 / e.graph().num_edges() as f64,
         solution_size: e.size(),
         heap_bytes: e.heap_bytes(),
         build_secs,
@@ -88,26 +93,17 @@ where
 /// Uniform access to the probe counters across the two layouts.
 trait HotProbes: DynamicMis {
     fn hot_probes(&self) -> u64;
-    fn entry_probes(&self) -> Option<u64> {
-        None
-    }
 }
 
 impl HotProbes for DyOneSwap {
     fn hot_probes(&self) -> u64 {
         self.stats().hot_hash_probes
     }
-    fn entry_probes(&self) -> Option<u64> {
-        Some(self.stats().entry_hash_probes)
-    }
 }
 
 impl HotProbes for DyTwoSwap {
     fn hot_probes(&self) -> u64 {
         self.stats().hot_hash_probes
-    }
-    fn entry_probes(&self) -> Option<u64> {
-        Some(self.stats().entry_hash_probes)
     }
 }
 
@@ -176,7 +172,7 @@ fn main() {
         "updates/s",
         "allocs/upd",
         "hot probes/upd",
-        "entry probes/upd",
+        "peak B/edge",
         "|I|",
         "heap MiB",
     ]);
@@ -187,11 +183,7 @@ fn main() {
             format!("{:.0}", r.updates_per_sec),
             format!("{:.3}", r.allocs_per_update),
             format!("{:.2}", r.hot_probes_per_update),
-            if r.entry_probes_per_update.is_nan() {
-                "-".to_string()
-            } else {
-                format!("{:.2}", r.entry_probes_per_update)
-            },
+            format!("{:.1}", r.peak_bytes_per_edge),
             r.solution_size.to_string(),
             format!("{:.1}", r.heap_bytes as f64 / (1024.0 * 1024.0)),
         ]);
@@ -219,6 +211,18 @@ fn main() {
                 r.name,
                 r.allocs_per_update
             );
+            // The graph keeps adjacency only. The fast shape measures
+            // 110.3 (k=1) and 135.1 (k=2) bytes per edge; a pair-keyed
+            // edge index beside it measured 138.4 and 163.2. The bounds
+            // leave under 10% headroom, so such an index cannot return
+            // unnoticed.
+            let bound = if r.name == "DyOneSwap" { 120.0 } else { 148.0 };
+            assert!(
+                r.peak_bytes_per_edge < bound,
+                "{}: peak heap grew to {:.1} bytes per edge (bound {bound})",
+                r.name,
+                r.peak_bytes_per_edge
+            );
         } else {
             assert!(
                 r.hot_hash_probes > 0,
@@ -245,7 +249,7 @@ fn main() {
             json,
             "    {{\"name\": \"{}\", \"layout\": \"{}\", \"updates_per_sec\": {:.1}, \
              \"allocs_per_update\": {:.4}, \"hot_hash_probes\": {}, \
-             \"hot_probes_per_update\": {:.4}, \"entry_probes_per_update\": {}, \
+             \"hot_probes_per_update\": {:.4}, \"peak_bytes_per_edge\": {:.1}, \
              \"solution_size\": {}, \"heap_bytes\": {}, \"build_secs\": {:.3}, \
              \"run_secs\": {:.3}}}{}",
             r.name,
@@ -254,11 +258,7 @@ fn main() {
             r.allocs_per_update,
             r.hot_hash_probes,
             r.hot_probes_per_update,
-            if r.entry_probes_per_update.is_nan() {
-                "null".to_string()
-            } else {
-                format!("{:.4}", r.entry_probes_per_update)
-            },
+            r.peak_bytes_per_edge,
             r.solution_size,
             r.heap_bytes,
             r.build_secs,

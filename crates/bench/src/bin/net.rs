@@ -4,10 +4,12 @@
 //! readers ≫ writers, the tentpole serving scenario.
 //!
 //! The run measures writer round-trip percentiles (p50/p95/p99) and
-//! ingest throughput while every subscriber streams sequenced deltas,
-//! then *asserts* stream integrity: zero sequence gaps, zero lost
-//! deltas, every verifying mirror equal to the server's snapshot. A
-//! non-clean child exit or an integrity violation fails the bench.
+//! ingest throughput (applied updates per second; the random stream's
+//! rejected updates are not counted) while every subscriber streams
+//! sequenced deltas, then *asserts* stream integrity: zero sequence
+//! gaps, zero lost deltas, every verifying mirror equal to the server's
+//! snapshot. A non-clean child exit or an integrity violation fails the
+//! bench.
 //!
 //! Writes `BENCH_PR7.json` (override with `DYNAMIS_BENCH_OUT`); honors
 //! `DYNAMIS_FAST=1` (a small smoke-sized run for CI).
@@ -129,7 +131,7 @@ fn main() {
     let mut table = dynamis_bench::Table::new(vec![
         "subscribers",
         "writers",
-        "updates/s",
+        "applied/s",
         "p50 µs",
         "p95 µs",
         "p99 µs",

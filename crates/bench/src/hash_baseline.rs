@@ -732,7 +732,9 @@ impl HashIndexedEngine {
             } else if self.k2 {
                 let (x, y) = (pu.min(pv), pu.max(pv));
                 let bucket = self.st.bar2(x, y);
-                self.st.probes += 2 * bucket.len() as u64; // has_edge probes
+                // Two has_edge calls per member: index probes in the
+                // replicated design.
+                self.st.probes += 2 * bucket.len() as u64;
                 if let Some(w) = bucket
                     .iter()
                     .copied()

@@ -23,17 +23,17 @@
 //!
 //! ## Hash discipline
 //!
-//! The per-neighbor inner loops speak half-edge positions
-//! ([`dynamis_graph::EdgeHandle`] and the `(neighbor, mirror)` pairs of
-//! [`DynamicGraph::half_edges`]): every count transition, bucket
+//! No update hashes. The per-neighbor inner loops speak half-edge
+//! positions ([`dynamis_graph::EdgeHandle`] and the `(neighbor, mirror)`
+//! pairs of [`DynamicGraph::half_edges`]): every count transition, bucket
 //! relocation, and swap-search membership test is a dense-vector or
-//! intrusive-slot operation. The pair-keyed edge index is touched only
-//! at update *entry points* — resolving the `(u, v)` named by the update
-//! to a handle, and keeping the index itself alive — which costs O(1)
-//! probes per edge update independent of vertex degrees.
-//! [`EngineStats::entry_hash_probes`] counts those;
-//! [`EngineStats::hot_hash_probes`] counts probes from the transition
-//! bookkeeping itself and stays 0 by construction.
+//! intrusive-slot operation. The update *entry points* resolve the
+//! `(u, v)` an update names to a handle by scanning the shorter endpoint
+//! list, O(min(d(u), d(v))), within the O(d) a MoveIn or MoveOut already
+//! costs. [`EngineStats::entry_hash_probes`] and
+//! [`EngineStats::hot_hash_probes`] are both 0 by construction; they stay
+//! in the stats (and the delta wire layout) so a regression test can
+//! assert it.
 
 use crate::delta::SolutionDelta;
 use crate::error::EngineError;
@@ -77,9 +77,9 @@ pub struct EngineStats {
     pub perturbations: u64,
     /// Maximality repairs (MoveIn of a freed vertex).
     pub repairs: u64,
-    /// Pair-index probes at update entry points (resolving the `(u, v)`
-    /// an update names, and index upkeep): O(1) per edge update, one per
-    /// deleted edge on vertex removal.
+    /// Hash probes at update entry points. Edges are resolved by
+    /// scanning adjacency, so this is 0 by construction; the field keeps
+    /// its slot in the delta wire layout.
     pub entry_hash_probes: u64,
     /// Hash probes issued by count-transition bookkeeping on the update
     /// inner loop. The intrusive half-edge layout leaves no probe site,
@@ -580,16 +580,13 @@ impl SwapEngine {
     }
 
     fn insert_edge(&mut self, a: u32, b: u32) -> Result<(), EngineError> {
-        // One index probe that finds the edge or claims its slot — the
-        // only hash work in this update. Validation is fused into the
-        // insertion: the graph rejects self-loops and dead endpoints
-        // before mutating, and a `None` handle means the edge already
-        // existed.
+        // Validation is fused into the insertion: the graph rejects
+        // self-loops and dead endpoints before mutating, and a `None`
+        // handle means the edge already existed.
         let handle = self.st.g.insert_edge_handle(a, b)?;
         let Some(h) = handle else {
             return Err(EngineError::DuplicateEdge(a, b));
         };
-        self.stats.entry_hash_probes += 1;
         match (self.st.in_solution(a), self.st.in_solution(b)) {
             (false, false) => {} // counts unchanged; no new swap can appear
             (true, false) => {
@@ -641,8 +638,7 @@ impl SwapEngine {
     }
 
     fn remove_edge(&mut self, a: u32, b: u32) -> Result<(), EngineError> {
-        // Resolve the named edge to half-edge positions: one probe, plus
-        // one for the index delete inside `remove_edge_at`.
+        // Resolve the named edge to half-edge positions.
         let Some(h) = self.st.g.edge_handle(a, b) else {
             // Cold path: classify the rejection through the shared
             // validator so the error semantics cannot drift from the
@@ -652,7 +648,6 @@ impl SwapEngine {
                 Ok(()) => Err(EngineError::MissingEdge(a, b)),
             };
         };
-        self.stats.entry_hash_probes += 2;
         match (self.st.in_solution(a), self.st.in_solution(b)) {
             (true, true) => unreachable!("solution vertices are never adjacent"),
             (true, false) => {
@@ -692,7 +687,7 @@ impl SwapEngine {
             } else if self.k2 {
                 // Case b: direct scan of ¯I₂({x, y}) for a third vertex w
                 // non-adjacent to both — adjacency tested through stamps
-                // of N(u), N(v) instead of pair-index probes.
+                // of N(u), N(v) instead of a `has_edge` scan per w.
                 let (x, y) = (pu.min(pv), pu.max(pv));
                 self.stamp.clear();
                 for w in self.st.g.neighbors(u) {
@@ -757,7 +752,6 @@ impl SwapEngine {
         self.st.ensure_capacity(cap);
         self.c1.ensure_capacity(cap);
         for &n in neighbors {
-            self.stats.entry_hash_probes += 1;
             let h = self
                 .st
                 .g
@@ -782,8 +776,6 @@ impl SwapEngine {
         if !self.st.g.is_alive(v) {
             return Err(GraphError::VertexNotFound(v).into());
         }
-        // The graph deletes one pair-index entry per incident edge.
-        self.stats.entry_hash_probes += self.st.g.degree(v) as u64;
         if self.st.in_solution(v) {
             self.st.set_out(v);
             // Unregister v from each neighbor's I(u) — through the mirror

@@ -133,17 +133,21 @@ mod tests {
     }
 
     #[test]
-    fn entry_probes_count_one_per_inserted_edge() {
+    fn updates_issue_no_hash_probes() {
         let g = DynamicGraph::from_edges(4, &[(0, 1), (1, 2)]);
         let mut e = build(g, &[]);
-        let mut probes = |u: Update| e.try_apply(&u).unwrap().stats.entry_hash_probes;
-        assert_eq!(probes(Update::InsertEdge(2, 3)), 1);
-        assert_eq!(probes(Update::RemoveEdge(0, 1)), 2);
+        let mut probes = |u: Update| {
+            let s = e.try_apply(&u).unwrap().stats;
+            (s.entry_hash_probes, s.hot_hash_probes)
+        };
+        assert_eq!(probes(Update::InsertEdge(2, 3)), (0, 0));
+        assert_eq!(probes(Update::RemoveEdge(0, 1)), (0, 0));
         let grow = Update::InsertVertex {
             id: 4,
             neighbors: vec![0, 3],
         };
-        assert_eq!(probes(grow), 2);
+        assert_eq!(probes(grow), (0, 0));
+        assert_eq!(probes(Update::RemoveVertex(1)), (0, 0));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The fully dynamic graph: vertex/edge insertion and deletion in O(1)
-//! amortized time per edge update.
+//! The fully dynamic graph: vertex/edge insertion and deletion over
+//! adjacency lists alone.
 //!
 //! Adjacency is stored as one `Vec<AdjEntry>` per vertex. Each half-edge
-//! records the position (`mirror`) of its reciprocal half-edge, so removing
-//! an edge is two `swap_remove` calls plus pointer fix-ups — no scanning.
+//! records the position (`mirror`) of its reciprocal half-edge, so once
+//! one half of an edge is found, removing the edge is two `swap_remove`
+//! calls plus pointer fix-ups.
 //!
 //! ## Intrusive payload slots
 //!
@@ -17,16 +18,17 @@
 //! maintenance framework gets O(1) insert/remove/iterate over `I(u)` —
 //! the set of solution neighbors of `u` — with **zero hash-map probes**.
 //!
-//! A global hash index (vertex pair → half-edge position) still locates an
-//! arbitrary edge in O(1), but it is consulted only by the *entry points*
-//! that receive an edge as a vertex pair ([`DynamicGraph::has_edge`],
-//! [`DynamicGraph::remove_edge`], [`DynamicGraph::edge_handle`]) — never
-//! by the per-neighbor inner loops, which speak [`EdgeHandle`] positions.
+//! There is no edge index. The *entry points* that receive an edge as a
+//! vertex pair ([`DynamicGraph::has_edge`], [`DynamicGraph::remove_edge`],
+//! [`DynamicGraph::edge_handle`] and the duplicate check of
+//! [`DynamicGraph::insert_edge_handle`]) scan the shorter of the two
+//! endpoints' lists and read the other side's position from `mirror`:
+//! O(min(d(u), d(v))), within the O(d) an engine already pays to move an
+//! endpoint in or out of its solution. The per-neighbor inner loops speak
+//! [`EdgeHandle`] positions and never search.
 
 use crate::error::GraphError;
-use crate::hash::{pair_key, FxHashMap};
 use crate::Result;
-use std::collections::hash_map::Entry;
 
 /// Dense vertex identifier. Ids of removed vertices are recycled.
 pub type VertexId = u32;
@@ -50,10 +52,11 @@ struct AdjEntry {
 /// Resolved positions of one undirected edge `(u, v)`: the index of the
 /// `u → v` half-edge inside `adj[u]` and of `v → u` inside `adj[v]`.
 ///
-/// Handles are obtained from [`DynamicGraph::edge_handle`] (one hash
-/// probe) or [`DynamicGraph::insert_edge_handle`] (no extra probe beyond
-/// the insertion itself) and stay valid until the next *removal* touching
-/// either endpoint's adjacency list (insertions only append).
+/// Handles are obtained from [`DynamicGraph::edge_handle`] (one scan of
+/// the shorter endpoint list) or [`DynamicGraph::insert_edge_handle`] (no
+/// search beyond the insertion's own duplicate check) and stay valid
+/// until the next *removal* touching either endpoint's adjacency list
+/// (insertions only append).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeHandle {
     /// First endpoint (as passed to the resolving call).
@@ -89,9 +92,8 @@ pub struct DynamicGraph {
     marked: Vec<Vec<u32>>,
     alive: Vec<bool>,
     free: Vec<u32>,
-    /// pair_key(u, v) → position of the half-edge stored in `adj[min(u, v)]`.
-    /// Entry-point index only; the update inner loops never consult it.
-    edges: FxHashMap<u64, u32>,
+    /// Number of undirected edges (half the half-edges).
+    m: usize,
     n_alive: usize,
 }
 
@@ -108,7 +110,7 @@ impl DynamicGraph {
             marked: Vec::with_capacity(n),
             alive: Vec::with_capacity(n),
             free: Vec::new(),
-            edges: FxHashMap::default(),
+            m: 0,
             n_alive: 0,
         }
     }
@@ -141,7 +143,7 @@ impl DynamicGraph {
     /// Number of edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.m
     }
 
     /// Number of vertex slots ever allocated (live ids are `< capacity`).
@@ -247,9 +249,9 @@ impl DynamicGraph {
         // lists, and each list holds at most one edge to `v`.
         for e in &entries {
             former.push(e.neighbor);
-            self.edges.remove(&pair_key(v, e.neighbor));
             self.remove_half(e.neighbor, e.mirror as usize);
         }
+        self.m -= entries.len();
         self.alive[v as usize] = false;
         self.free.push(v);
         self.n_alive -= 1;
@@ -267,23 +269,22 @@ impl DynamicGraph {
     /// Inserts the undirected edge `(u, v)`, returning the handle of the
     /// freshly inserted edge — `None` if the edge already existed.
     ///
-    /// This is the hot-path insertion entry point: one index probe finds
-    /// the edge or claims its slot, and the caller gets the half-edge
-    /// positions without a second probe.
+    /// This is the hot-path insertion entry point: the duplicate check
+    /// scans the shorter endpoint list once, and the caller gets the
+    /// half-edge positions without a second search.
     pub fn insert_edge_handle(&mut self, u: VertexId, v: VertexId) -> Result<Option<EdgeHandle>> {
         if u == v {
             return Err(GraphError::SelfLoop(u));
         }
         self.check_alive(u)?;
         self.check_alive(v)?;
-        // The half-edges land at the ends of both lists; the index holds
-        // the position in the smaller endpoint's list.
+        if self.find(u, v).is_some() {
+            return Ok(None);
+        }
+        // The half-edges land at the ends of both lists.
         let pu = self.adj[u as usize].len() as u32;
         let pv = self.adj[v as usize].len() as u32;
-        match self.edges.entry(pair_key(u, v)) {
-            Entry::Occupied(_) => return Ok(None),
-            Entry::Vacant(slot) => slot.insert(if u < v { pu } else { pv }),
-        };
+        self.m += 1;
         self.adj[u as usize].push(AdjEntry {
             neighbor: v,
             mirror: pv,
@@ -302,35 +303,44 @@ impl DynamicGraph {
         }))
     }
 
-    /// Sizes a graph that has no edges yet for a bulk load of known size:
-    /// `edges` index entries, and at every slot `v` the capacity that
-    /// pushing `degrees[v]` half-edges one by one grows (the next power
-    /// of two, at least 4). Each list is allocated once and keeps the
-    /// room for later inserts that an edge-by-edge load leaves.
-    pub(crate) fn reserve_edges(&mut self, degrees: &[u32], edges: usize) {
+    /// Sizes a graph that has no edges yet for a bulk load of known
+    /// degrees: at every slot `v` the capacity that pushing `degrees[v]`
+    /// half-edges one by one grows (the next power of two, at least 4).
+    /// Each list is allocated once and keeps the room for later inserts
+    /// that an edge-by-edge load leaves.
+    pub(crate) fn reserve_edges(&mut self, degrees: &[u32]) {
         for (list, &d) in self.adj.iter_mut().zip(degrees) {
             if d > 0 {
                 list.reserve_exact((d as usize).next_power_of_two().max(4));
             }
         }
-        self.edges.reserve(edges);
     }
 
-    /// Resolves the edge `(u, v)` to its half-edge positions with a single
-    /// index probe. `None` if the edge does not exist (or `u == v`).
-    pub fn edge_handle(&self, u: VertexId, v: VertexId) -> Option<EdgeHandle> {
+    /// Positions `(pos_u, pos_v)` of the edge `(u, v)`: scans the shorter
+    /// of the two lists and reads the other side from `mirror`. `None` if
+    /// the edge does not exist, `u == v`, or either id has no slot (dead
+    /// slots have empty lists).
+    #[inline]
+    fn find(&self, u: VertexId, v: VertexId) -> Option<(u32, u32)> {
         if u == v {
             return None;
         }
-        let &pos_a = self.edges.get(&pair_key(u, v))?;
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let pos_b = self.adj[a as usize][pos_a as usize].mirror;
-        debug_assert_eq!(self.adj[a as usize][pos_a as usize].neighbor, b);
-        let (pos_u, pos_v) = if u < v {
-            (pos_a, pos_b)
+        let list_u = self.adj.get(u as usize)?;
+        let list_v = self.adj.get(v as usize)?;
+        if list_u.len() <= list_v.len() {
+            let i = list_u.iter().position(|e| e.neighbor == v)?;
+            Some((i as u32, list_u[i].mirror))
         } else {
-            (pos_b, pos_a)
-        };
+            let j = list_v.iter().position(|e| e.neighbor == u)?;
+            Some((list_v[j].mirror, j as u32))
+        }
+    }
+
+    /// Resolves the edge `(u, v)` to its half-edge positions, scanning the
+    /// shorter endpoint list: O(min(d(u), d(v))). `None` if the edge does
+    /// not exist (or `u == v`).
+    pub fn edge_handle(&self, u: VertexId, v: VertexId) -> Option<EdgeHandle> {
+        let (pos_u, pos_v) = self.find(u, v)?;
         Some(EdgeHandle { u, v, pos_u, pos_v })
     }
 
@@ -358,15 +368,15 @@ impl DynamicGraph {
     pub fn remove_edge_at(&mut self, h: EdgeHandle) {
         debug_assert_eq!(self.adj[h.u as usize][h.pos_u as usize].neighbor, h.v);
         debug_assert_eq!(self.adj[h.v as usize][h.pos_v as usize].neighbor, h.u);
-        self.edges.remove(&pair_key(h.u, h.v));
+        self.m -= 1;
         // A simple graph holds exactly one u–v edge, so the fix-up performed
         // by the first removal can never touch the half-edge removed second.
         self.remove_half(h.u, h.pos_u as usize);
         self.remove_half(h.v, h.pos_v as usize);
     }
 
-    /// `swap_remove`s `adj[x][pos]`, repairing the mirror pointer, payload
-    /// slot, and edge index of whichever half-edge got moved into the hole.
+    /// `swap_remove`s `adj[x][pos]`, repairing the mirror pointer and
+    /// payload slot of whichever half-edge got moved into the hole.
     /// A mark on the removed half-edge itself is dropped first.
     fn remove_half(&mut self, x: VertexId, pos: usize) {
         if self.adj[x as usize][pos].payload != NO_PAYLOAD {
@@ -381,11 +391,6 @@ impl DynamicGraph {
                 // Keep the intrusive back-pointer fresh: the moved
                 // half-edge's record in marked[x] must follow it.
                 self.marked[x as usize][moved.payload as usize] = pos as u32;
-            }
-            if x < moved.neighbor {
-                // The edge index references positions in the smaller
-                // endpoint's list only.
-                self.edges.insert(pair_key(x, moved.neighbor), pos as u32);
             }
         }
     }
@@ -462,10 +467,11 @@ impl DynamicGraph {
         }
     }
 
-    /// O(1) edge existence test (one index probe).
+    /// Edge existence test: O(min(d(u), d(v))), one scan of the shorter
+    /// endpoint list.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        u != v && self.edges.contains_key(&pair_key(u, v))
+        self.find(u, v).is_some()
     }
 
     /// Degree of `v` (0 for dead vertices).
@@ -513,9 +519,15 @@ impl DynamicGraph {
             .map(|(i, _)| i as u32)
     }
 
-    /// Iterates all edges as `(u, v)` with `u < v`.
+    /// Iterates all edges as `(u, v)` with `u < v`: vertices in id order,
+    /// each vertex's higher-id neighbors in adjacency order.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.edges.keys().map(|&k| crate::hash::unpack_pair(k))
+        self.adj.iter().enumerate().flat_map(|(u, list)| {
+            let u = u as VertexId;
+            list.iter()
+                .filter(move |e| e.neighbor > u)
+                .map(move |e| (u, e.neighbor))
+        })
     }
 
     /// Maximum degree Δ over live vertices (O(n) scan).
@@ -533,7 +545,7 @@ impl DynamicGraph {
     }
 
     /// Approximate heap footprint in bytes (adjacency — including the
-    /// intrusive payload slots — plus marked lists and the edge index).
+    /// intrusive payload slots — plus marked lists).
     pub fn heap_bytes(&self) -> usize {
         let adj: usize = self
             .adj
@@ -545,18 +557,19 @@ impl DynamicGraph {
             + self.adj.capacity() * std::mem::size_of::<Vec<AdjEntry>>()
             + self.marked.capacity() * std::mem::size_of::<Vec<u32>>()
             + self.alive.capacity()
-            + self.edges.capacity() * (std::mem::size_of::<(u64, u32)>() + 8)
     }
 
     /// Exhaustive internal-consistency check. Test/debug use only: O(n + m).
     ///
-    /// Verifies that mirror pointers are reciprocal, payload slots and
-    /// marked lists are mutually consistent, the edge index matches the
-    /// adjacency lists, dead vertices have no edges, and the half-edge
-    /// count is exactly `2m`.
+    /// Verifies that mirror pointers are reciprocal, no list holds a
+    /// self-loop or the same neighbor twice, payload slots and marked
+    /// lists are mutually consistent, dead vertices have no edges, and the
+    /// half-edge count is exactly `2m`.
     pub fn check_consistency(&self) -> std::result::Result<(), String> {
         let mut half_edges = 0usize;
         let mut marks = 0usize;
+        // `seen[w] == v` once `w` has appeared in `adj[v]`.
+        let mut seen = vec![u32::MAX; self.adj.len()];
         for v in 0..self.adj.len() as u32 {
             if !self.alive[v as usize] && !self.adj[v as usize].is_empty() {
                 return Err(format!("dead vertex {v} still has edges"));
@@ -566,6 +579,15 @@ impl DynamicGraph {
             }
             for (i, e) in self.adj[v as usize].iter().enumerate() {
                 half_edges += 1;
+                if e.neighbor == v {
+                    return Err(format!("self-loop at {v}"));
+                }
+                let seen_at = seen
+                    .get_mut(e.neighbor as usize)
+                    .ok_or_else(|| format!("neighbor {} of {v} out of range", e.neighbor))?;
+                if std::mem::replace(seen_at, v) == v {
+                    return Err(format!("edge ({v},{}) stored twice", e.neighbor));
+                }
                 let back = &self.adj[e.neighbor as usize]
                     .get(e.mirror as usize)
                     .ok_or_else(|| format!("mirror of ({v},{}) out of range", e.neighbor))?;
@@ -583,16 +605,6 @@ impl DynamicGraph {
                         ));
                     }
                 }
-                let key = pair_key(v, e.neighbor);
-                let &pos = self
-                    .edges
-                    .get(&key)
-                    .ok_or_else(|| format!("edge ({v},{}) missing from index", e.neighbor))?;
-                let a = v.min(e.neighbor);
-                let stored = &self.adj[a as usize][pos as usize];
-                if stored.neighbor != v.max(e.neighbor) {
-                    return Err(format!("index position stale for ({v},{})", e.neighbor));
-                }
             }
             for (j, &pos) in self.marked[v as usize].iter().enumerate() {
                 let entry = self.adj[v as usize]
@@ -606,10 +618,10 @@ impl DynamicGraph {
                 }
             }
         }
-        if half_edges != 2 * self.edges.len() {
+        if half_edges != 2 * self.m {
             return Err(format!(
                 "half-edge count {half_edges} != 2m = {}",
-                2 * self.edges.len()
+                2 * self.m
             ));
         }
         let marked_total: usize = self.marked.iter().map(Vec::len).sum();
@@ -862,6 +874,108 @@ mod tests {
                 assert_eq!(g.neighbor_at(n, mirror as usize), v);
             }
         }
+    }
+
+    /// Appends the half-edge pair of a `u–v` edge without any check, the
+    /// way a broken mutation would. A self-loop's second half lands one
+    /// slot after its first.
+    fn plant_edge(g: &mut DynamicGraph, u: VertexId, v: VertexId) {
+        let (pu, pv) = (g.degree(u) as u32, g.degree(v) as u32);
+        let half = |neighbor, mirror| AdjEntry {
+            neighbor,
+            mirror,
+            payload: NO_PAYLOAD,
+        };
+        g.adj[u as usize].push(half(v, pv));
+        g.adj[v as usize].push(half(u, pu + (u == v) as u32));
+        g.m += 1;
+    }
+
+    #[test]
+    fn consistency_check_catches_duplicates_self_loops_and_stale_mirrors() {
+        let base = DynamicGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        base.check_consistency().unwrap();
+
+        let mut dup = base.clone();
+        plant_edge(&mut dup, 2, 1);
+        let err = dup.check_consistency().unwrap_err();
+        assert!(err.contains("stored twice"), "{err}");
+
+        let mut looped = base.clone();
+        plant_edge(&mut looped, 3, 3);
+        let err = looped.check_consistency().unwrap_err();
+        assert!(err.contains("self-loop"), "{err}");
+
+        let mut stale = DynamicGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
+        stale.adj[1][0].mirror = 1;
+        let err = stale.check_consistency().unwrap_err();
+        assert!(err.contains("mirror mismatch"), "{err}");
+    }
+
+    #[test]
+    fn edge_lookups_scan_either_side() {
+        // Vertex 0 is a hub of degree 1,200; vertex 1,201 has degree 2.
+        // Naming the hub first or second takes each scan branch.
+        let mut g = DynamicGraph::new();
+        g.add_vertices(1_202);
+        for v in 1..=1_200 {
+            g.insert_edge(0, v).unwrap();
+        }
+        g.insert_edge(1_201, 600).unwrap();
+        g.insert_edge(1_201, 0).unwrap();
+        for (u, v) in [
+            (0, 1_201),
+            (1_201, 0),
+            (0, 600),
+            (600, 0),
+            (0, 1),
+            (1_200, 0),
+        ] {
+            let h = g.edge_handle(u, v).unwrap();
+            assert_eq!((h.u, h.v), (u, v));
+            assert_eq!(g.neighbor_at(u, h.pos_u as usize), v, "({u}, {v})");
+            assert_eq!(g.neighbor_at(v, h.pos_v as usize), u, "({u}, {v})");
+            assert!(g.has_edge(u, v));
+            assert_eq!(g.insert_edge_handle(u, v), Ok(None), "duplicate ({u}, {v})");
+        }
+        assert!(!g.has_edge(1_201, 1) && g.edge_handle(1, 1_201).is_none());
+        let m = g.num_edges();
+        for (u, v) in [(0, 1_201), (600, 0), (0, 1), (1_200, 0), (600, 1_201)] {
+            assert_eq!(g.remove_edge(u, v), Ok(true), "({u}, {v})");
+            assert!(!g.has_edge(v, u));
+            g.check_consistency().unwrap();
+        }
+        assert_eq!(g.num_edges(), m - 5);
+        assert_eq!(g.degree(0), 1_197);
+    }
+
+    #[test]
+    fn lookups_on_dead_and_missing_ids_do_not_panic() {
+        let mut g = DynamicGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        g.remove_vertex(2).unwrap();
+        for (u, v) in [(1, 2), (2, 1), (0, 9), (9, 0), (9, 9), (0, u32::MAX)] {
+            assert!(!g.has_edge(u, v), "({u}, {v})");
+            assert!(g.edge_handle(u, v).is_none(), "({u}, {v})");
+        }
+        assert_eq!(g.remove_edge(1, 2), Err(GraphError::VertexNotFound(2)));
+        assert_eq!(g.remove_edge(9, 0), Err(GraphError::VertexNotFound(9)));
+        assert_eq!(
+            g.remove_edge(0, u32::MAX),
+            Err(GraphError::VertexNotFound(u32::MAX))
+        );
+        assert_eq!(g.num_edges(), 1);
+        g.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn edges_walk_vertices_in_id_order() {
+        let mut g = DynamicGraph::from_edges(5, &[(3, 1), (2, 0), (0, 4), (1, 0)]);
+        assert_eq!(
+            g.edges().collect::<Vec<_>>(),
+            [(0, 2), (0, 4), (0, 1), (1, 3)]
+        );
+        g.remove_vertex(0).unwrap();
+        assert_eq!(g.edges().collect::<Vec<_>>(), [(1, 3)]);
     }
 
     #[test]

@@ -187,10 +187,10 @@ pub fn decode_graph_prefix(data: &[u8]) -> Result<(DynamicGraph, usize)> {
         let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("chunk of 8"));
         (word(u), word(v))
     });
-    // Size every adjacency list and the edge index once, from degrees
-    // counted over the section. The count skips pairs it cannot index;
-    // the insertion pass checks every edge in stream order, so a corrupt
-    // stream is refused with the error of its first bad edge.
+    // Size every adjacency list once, from degrees counted over the
+    // section. The count skips pairs it cannot place; the insertion pass
+    // checks every edge in stream order, so a corrupt stream is refused
+    // with the error of its first bad edge.
     let mut degree = vec![0u32; slots];
     for (u, v) in edges.clone() {
         if u < v && (v as usize) < slots {
@@ -198,7 +198,7 @@ pub fn decode_graph_prefix(data: &[u8]) -> Result<(DynamicGraph, usize)> {
             degree[v as usize] = degree[v as usize].saturating_add(1);
         }
     }
-    g.reserve_edges(&degree, m);
+    g.reserve_edges(&degree);
     for (u, v) in edges {
         if u >= v {
             return Err(corrupt("edge endpoints not strictly ordered"));

@@ -4,16 +4,17 @@
 //! workspace builds on:
 //!
 //! * [`DynamicGraph`] — an unweighted, undirected graph supporting
-//!   vertex/edge insertion and deletion in O(1) amortized time per edge
-//!   update. Edge deletion is constant-time thanks to *mirror-indexed*
-//!   adjacency lists (each half-edge stores the position of its reciprocal
-//!   half-edge). Every half-edge additionally carries an intrusive
-//!   *payload slot* — the paper's "pointer to v ∈ I(u) recorded in edge
-//!   (v, u)" — giving maintenance frameworks O(1), hash-free membership
-//!   lists over each vertex's neighborhood (`mark_neighbor` /
-//!   `unmark_neighbor` / `marked_neighbors`). A global pair index hashed
-//!   with [`FxHasher`] resolves `(u, v)` entry points to [`EdgeHandle`]
-//!   positions; the per-neighbor inner loops never touch it.
+//!   vertex/edge insertion and deletion, stored as adjacency lists alone.
+//!   Once an edge is found, deleting it is constant-time thanks to
+//!   *mirror-indexed* adjacency lists (each half-edge stores the position
+//!   of its reciprocal half-edge). Every half-edge additionally carries an
+//!   intrusive *payload slot* — the paper's "pointer to v ∈ I(u) recorded
+//!   in edge (v, u)" — giving maintenance frameworks O(1), hash-free
+//!   membership lists over each vertex's neighborhood (`mark_neighbor` /
+//!   `unmark_neighbor` / `marked_neighbors`). The `(u, v)` entry points
+//!   resolve an edge to [`EdgeHandle`] positions by scanning the shorter
+//!   endpoint list, O(min(d(u), d(v))); the per-neighbor inner loops
+//!   never search.
 //! * [`CsrGraph`] — an immutable compressed-sparse-row snapshot used by the
 //!   static algorithms (exact solver, local search) and as a fast bulk-load
 //!   format.

@@ -43,6 +43,11 @@ fn loopback_load_run_loses_nothing_and_shuts_down_cleanly() {
         "replicas must equal the snapshot"
     );
     assert!(report.applied > 0);
+    // Throughput counts applied updates only, not rejections.
+    assert_eq!(
+        (report.throughput * report.elapsed_s).round() as u64,
+        report.applied
+    );
     assert_eq!(report.subscribers, 50);
 
     // Clean shutdown with everything still connected server-side.

@@ -1091,7 +1091,6 @@ impl<T: Transport> Orchestrator<T> {
                     if self.in_sol[*a as usize] && self.in_sol[*b as usize] =>
                 {
                     let (a, b) = (*a, *b);
-                    self.stats.entry_hash_probes += 1;
                     self.shadow.insert_edge(a, b).expect("validated");
                     seg.edge(&self.map, true, a, b, true, true);
                     self.flush_segment(&mut seg);
@@ -1099,14 +1098,12 @@ impl<T: Transport> Orchestrator<T> {
                 }
                 Update::InsertEdge(a, b) => {
                     let (a, b) = (*a, *b);
-                    self.stats.entry_hash_probes += 1;
                     self.shadow.insert_edge(a, b).expect("validated");
                     let (a_in, b_in) = (self.in_sol[a as usize], self.in_sol[b as usize]);
                     seg.edge(&self.map, true, a, b, a_in, b_in);
                 }
                 Update::RemoveEdge(a, b) => {
                     let (a, b) = (*a, *b);
-                    self.stats.entry_hash_probes += 2;
                     self.shadow.remove_edge(a, b).expect("validated");
                     let (a_in, b_in) = (self.in_sol[a as usize], self.in_sol[b as usize]);
                     seg.edge(&self.map, false, a, b, a_in, b_in);
@@ -1128,7 +1125,6 @@ impl<T: Transport> Orchestrator<T> {
                 }
                 Update::RemoveVertex(v) => {
                     let v = *v;
-                    self.stats.entry_hash_probes += self.shadow.degree(v) as u64;
                     self.shadow.remove_vertex(v).expect("validated");
                     if self.in_sol[v as usize] {
                         // Boundary: the removal flips membership.

@@ -891,8 +891,13 @@ fn cmd_net_load(args: &[String]) -> Result<(), String> {
         println!("{}", report.to_json());
     } else {
         println!(
-            "{} subscribers, {} writers: {} updates in {:.2}s ({:.0} updates/s)",
-            report.subscribers, report.writers, report.updates, report.elapsed_s, report.throughput
+            "{} subscribers, {} writers: {} updates ({} applied) in {:.2}s ({:.0} applied/s)",
+            report.subscribers,
+            report.writers,
+            report.updates,
+            report.applied,
+            report.elapsed_s,
+            report.throughput
         );
         println!(
             "write RTT: p50 {} µs / p95 {} µs / p99 {} µs / max {} µs ({} busy retries)",
