@@ -28,7 +28,7 @@ use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::snapshot::Snapshot;
 use crate::{DyOneSwap, DyTwoSwap, DynamicMis, GenericKSwap};
-use dynamis_graph::{DynamicGraph, Partitioner};
+use dynamis_graph::DynamicGraph;
 
 /// Describes one maintenance session; see the module docs.
 #[derive(Debug, Clone, Default)]
@@ -37,10 +37,6 @@ pub struct EngineBuilder {
     config: EngineConfig,
     initial: Vec<u32>,
     graph: Option<DynamicGraph>,
-    shards: usize,
-    partitioner: Partitioner,
-    swap_wave: usize,
-    pipeline: Option<bool>,
 }
 
 impl EngineBuilder {
@@ -93,81 +89,6 @@ impl EngineBuilder {
     /// reject a session whose requested depth they cannot maintain.
     pub fn requested_k(&self) -> Option<usize> {
         self.k
-    }
-
-    /// Requests partitioned maintenance across `shards` engine shards
-    /// (`0` is normalized to `1`). The sequential engines built by
-    /// [`EngineBuilder::build`] / [`EngineBuilder::build_as`] ignore the
-    /// knob; the sharded layer (`dynamis-shard`) and the CLI read it via
-    /// [`EngineBuilder::shard_count`], so one builder describes the
-    /// session for both single-writer and sharded serving.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// How many shards this session asked for (defaults to 1 —
-    /// unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.shards.max(1)
-    }
-
-    /// How the sharded layer splits the vertex space across
-    /// [`EngineBuilder::shards`]: locality-blind degree balance (the
-    /// default) or the locality-aware label-propagation partition that
-    /// shrinks the cut — and with it the boundary-protocol coordination
-    /// cost — on community-structured graphs. Sequential engines ignore
-    /// the knob, like [`EngineBuilder::shards`] itself; the partition
-    /// never changes the maintained solution, only who owns what.
-    pub fn partitioner(mut self, partitioner: Partitioner) -> Self {
-        self.partitioner = partitioner;
-        self
-    }
-
-    /// The partitioning strategy this session asked for (defaults to
-    /// [`Partitioner::DegreeGreedy`]).
-    pub fn partitioner_choice(&self) -> Partitioner {
-        self.partitioner
-    }
-
-    /// Caps how many independent swaps the sharded layer may co-commit
-    /// per fused validation round (`0`, the default, means unlimited;
-    /// `1` serializes commits like the pre-fused protocol). Any fixed
-    /// value keeps the maintained solution a pure function of the
-    /// update stream — the cap is applied in global candidate order —
-    /// but changing it changes *which* function, so engines that must
-    /// agree exactly must share the setting. Sequential engines ignore
-    /// the knob.
-    pub fn swap_wave(mut self, wave: usize) -> Self {
-        self.swap_wave = wave;
-        self
-    }
-
-    /// The per-round co-commit cap this session asked for
-    /// (`usize::MAX` when unlimited).
-    pub fn swap_wave_limit(&self) -> usize {
-        if self.swap_wave == 0 {
-            usize::MAX
-        } else {
-            self.swap_wave
-        }
-    }
-
-    /// Toggles split-phase (pipelined) commit exchanges in the sharded
-    /// layer: commit broadcasts are posted and collected lazily, so
-    /// cell application overlaps the coordinator's next phase. On by
-    /// default; observationally neutral — the maintained solution and
-    /// the exchange counts are identical either way, only the waiting
-    /// changes. Sequential engines ignore the knob.
-    pub fn pipeline(mut self, on: bool) -> Self {
-        self.pipeline = Some(on);
-        self
-    }
-
-    /// Whether this session asked for pipelined commit exchanges
-    /// (defaults to `true`).
-    pub fn pipeline_enabled(&self) -> bool {
-        self.pipeline.unwrap_or(true)
     }
 
     /// Resumes from a checkpoint: the snapshot's graph and solution

@@ -52,7 +52,7 @@
 //! ## The engine invariants
 //!
 //! Everything downstream — the mirrors, the serving layer's broadcast
-//! logs, the sharded partitions — leans on three contracts, each pinned
+//! logs, the durable WAL — leans on three contracts, each pinned
 //! by a dedicated test suite in the workspace root:
 //!
 //! * **Delta shape.** Every [`SolutionDelta`] an engine reports (from
@@ -95,7 +95,6 @@ pub mod two_swap;
 
 pub use builder::{BuildableEngine, EngineBuilder, Session};
 pub use delta::{DeltaFeed, SolutionDelta, SolutionMirror};
-pub use dynamis_graph::Partitioner;
 pub use engine::{EngineConfig, EngineStats};
 pub use error::{validate_update, EngineError, MirrorError};
 pub use generic::GenericKSwap;

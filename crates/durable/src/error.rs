@@ -43,12 +43,14 @@ pub enum DurableError {
         /// `k` the caller asked for.
         expected: u32,
     },
-    /// The directory was written with a different WAL stream count than
-    /// the caller configured (records are routed by `seq % streams`).
+    /// The manifest or a checkpoint records a WAL stream count other
+    /// than one. The format keeps the count, but this layer logs every
+    /// update to a single stream and cannot replay records that were
+    /// split across several.
     StreamMismatch {
         /// Stream count recorded on disk.
         found: u32,
-        /// Stream count the caller asked for.
+        /// The only stream count this layer reads: 1.
         expected: u32,
     },
     /// No checkpoint survived validation. The layer always writes a
@@ -90,7 +92,7 @@ impl DurableError {
                 EngineError::BadParameter("durable: data directory was written for a different k")
             }
             DurableError::StreamMismatch { .. } => EngineError::BadParameter(
-                "durable: data directory was written with a different stream count",
+                "durable: data directory was written with more than one WAL stream",
             ),
             DurableError::NoCheckpoint => {
                 EngineError::BadParameter("durable: no valid checkpoint in data directory")

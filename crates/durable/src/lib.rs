@@ -73,6 +73,8 @@ mod wal;
 
 pub use error::DurableError;
 pub use logged::{prepare, DurableOptions, Logged, Prepared};
-pub use recover::{apply_repairs, newest_checkpoint, scan, NewestCheckpoint, Repair, ScanReport};
+pub use recover::{
+    apply_repairs, newest_checkpoint, replay_tail, scan, NewestCheckpoint, Repair, ScanReport,
+};
 pub use storage::{FileStorage, MemStorage, WalStorage};
 pub use wal::SyncPolicy;

@@ -17,20 +17,17 @@ use crate::format::{
     checkpoint_name, encode_checkpoint, encode_manifest, parse_checkpoint_name, parse_segment_name,
     MANIFEST_NAME,
 };
-use crate::recover::{apply_repairs, scan};
+use crate::recover::{apply_repairs, replay_tail, scan};
 use crate::storage::WalStorage;
-use crate::wal::{GroupCommit, SyncPolicy, Wal};
+use crate::wal::{GroupCommit, SyncPolicy, Wal, STREAMS};
 use dynamis_core::{DynamicMis, EngineBuilder, EngineError, Snapshot, SolutionDelta};
 use dynamis_graph::{DynamicGraph, Update};
 use std::sync::Arc;
 
-/// Tuning for a durable directory.
+/// Tuning for a durable directory. Every accepted update goes to one
+/// WAL stream; the manifest pins `k` and that single stream.
 #[derive(Debug, Clone, Copy)]
 pub struct DurableOptions {
-    /// WAL streams records are routed across (`seq % streams`). Use the
-    /// shard count for a sharded service so the log parallelism matches
-    /// the write parallelism; pinned in the manifest.
-    pub streams: u32,
     /// When appends reach stable storage.
     pub sync: SyncPolicy,
     /// Accepted updates between snapshot checkpoints.
@@ -46,7 +43,6 @@ pub struct DurableOptions {
 impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
-            streams: 1,
             sync: SyncPolicy::Group,
             // A checkpoint stalls the writer for 14–25 ms on a Chung–Lu
             // graph with n = 100k and ~400k edges (2-vCPU VM, ladder
@@ -82,8 +78,8 @@ pub struct Prepared {
 
 /// Opens a durable directory: initializes an empty one (manifest now,
 /// bootstrap checkpoint at attach), or scans + repairs an existing one.
-/// `k` and `opts.streams` must match the manifest of an existing
-/// directory — mismatches are typed refusals.
+/// `k` must match the manifest of an existing directory, and the
+/// manifest must record one WAL stream — mismatches are typed refusals.
 pub fn prepare(
     storage: Arc<dyn WalStorage>,
     k: u32,
@@ -106,16 +102,16 @@ pub fn prepare(
                     expected: k,
                 });
             }
-            if m.streams != opts.streams {
+            if m.streams != STREAMS {
                 return Err(DurableError::StreamMismatch {
                     found: m.streams,
-                    expected: opts.streams,
+                    expected: STREAMS,
                 });
             }
         } else {
             let tmp = "MANIFEST.tmp";
             storage.create(tmp)?;
-            storage.append(tmp, &encode_manifest(k, opts.streams))?;
+            storage.append(tmp, &encode_manifest(k, STREAMS))?;
             storage.sync(tmp)?;
             storage.rename(tmp, MANIFEST_NAME)?;
         }
@@ -135,7 +131,7 @@ pub fn prepare(
             k,
         });
     }
-    let report = scan(&*storage, Some(k), Some(opts.streams))?;
+    let report = scan(&*storage, Some(k))?;
     apply_repairs(&*storage, &report.repairs)?;
     Ok(Prepared {
         recovered_seq: report.recovered_seq,
@@ -172,8 +168,9 @@ impl Prepared {
     }
 
     /// Replays the WAL tail into `engine` (built from the builder
-    /// [`Prepared::resume_builder`] returned), then wraps it in a
-    /// [`Logged`] that logs every accepted update from here on.
+    /// [`Prepared::resume_builder`] returned) through [`replay_tail`],
+    /// then wraps it in a [`Logged`] that logs every accepted update
+    /// from here on.
     ///
     /// Writes a checkpoint before returning when the directory is fresh
     /// (the bootstrap checkpoint recovery relies on) or when a tail was
@@ -183,25 +180,14 @@ impl Prepared {
             self.snapshot.is_none(),
             "Prepared::attach before resume_builder: the engine would not see the recovered state"
         );
-        if !self.tail.is_empty() {
-            let tail = std::mem::take(&mut self.tail);
-            // One update per call, never a batch: batched application is
-            // free to skip intermediate swap cascades (the state is
-            // k-maximal either way but need not be *the same* state),
-            // and recovery promises the exact per-update state.
-            for (index, u) in tail.iter().enumerate() {
-                if let Err(cause) = engine.try_apply(u) {
-                    return Err(DurableError::Replay {
-                        seq: self.checkpoint_seq + 1 + index as u64,
-                        cause,
-                    });
-                }
-            }
-        }
+        replay_tail(
+            &mut *engine,
+            self.checkpoint_seq,
+            &std::mem::take(&mut self.tail),
+        )?;
         let g = dynamis_obs::global();
         let wal = Wal::new(
             Arc::clone(&self.storage),
-            self.opts.streams,
             self.recovered_seq + 1,
             self.opts.segment_bytes,
             // Under `Never` nothing ever drains the synced-names set, so
@@ -220,7 +206,6 @@ impl Prepared {
             since_checkpoint: 0,
             keep_checkpoints: self.opts.keep_checkpoints.max(1),
             k: self.k,
-            streams: self.opts.streams,
             dead: false,
             records: g.counter("durable_wal_records_total"),
             checkpoints: g.counter("durable_checkpoints_total"),
@@ -254,7 +239,6 @@ pub struct Logged {
     since_checkpoint: u64,
     keep_checkpoints: usize,
     k: u32,
-    streams: u32,
     dead: bool,
     records: Arc<dynamis_obs::Counter>,
     checkpoints: Arc<dynamis_obs::Counter>,
@@ -331,7 +315,7 @@ impl Logged {
         // Straight from the live engine into the file buffer: no copy of
         // the graph, no intermediate body buffer.
         let (graph, solution) = (self.inner.graph(), self.inner.solution());
-        let bytes = encode_checkpoint(self.k, self.streams, seq, |body| {
+        let bytes = encode_checkpoint(self.k, STREAMS, seq, |body| {
             Snapshot::encode_parts(graph, &solution, body)
         });
         let tmp = format!("ckpt-{seq:016}.tmp");
@@ -341,7 +325,7 @@ impl Logged {
         self.storage.sync(&tmp)?;
         self.storage.rename(&tmp, &name)?;
         self.checkpoints.add(1);
-        self.wal.roll_all()?;
+        self.wal.roll()?;
         self.prune()
     }
 
@@ -362,25 +346,19 @@ impl Logged {
         }
         let oldest_kept = self.keep_checkpoints.min(ckpts.len()) - 1;
         let horizon = ckpts[oldest_kept].0;
-        // A segment is removable when its successor in the same stream
-        // starts at or below `horizon + 1` — then every record it holds
-        // is covered by the oldest retained checkpoint.
-        let mut per_stream: Vec<Vec<(u64, &String)>> = vec![Vec::new(); self.streams as usize];
-        for n in &names {
-            if let Some((stream, start)) = parse_segment_name(n) {
-                if (stream as usize) < per_stream.len() {
-                    per_stream[stream as usize].push((start, n));
-                }
-            }
-        }
-        for files in per_stream.iter_mut() {
-            files.sort();
-            for w in files.windows(2) {
-                let (_, name) = w[0];
-                let (next_start, _) = w[1];
-                if next_start <= horizon + 1 {
-                    self.storage.remove(name)?;
-                }
+        // A segment is removable when its successor starts at or below
+        // `horizon + 1` — then every record it holds is covered by the
+        // oldest retained checkpoint.
+        let mut files: Vec<(u64, &String)> = names
+            .iter()
+            .filter_map(|n| parse_segment_name(n).map(|(_, start)| (start, n)))
+            .collect();
+        files.sort();
+        for w in files.windows(2) {
+            let (_, name) = w[0];
+            let (next_start, _) = w[1];
+            if next_start <= horizon + 1 {
+                self.storage.remove(name)?;
             }
         }
         Ok(())

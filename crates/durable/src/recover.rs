@@ -6,18 +6,19 @@
 //! - The newest **valid** checkpoint is the base; checkpoints damaged
 //!   by a crash mid-publish are skipped in favor of an older one (the
 //!   writer keeps more than one for exactly this reason).
-//! - A newer *format version* or a mismatched *k* is a typed refusal,
-//!   never a fallback — those mean operator error, and guessing would
-//!   silently produce a different solution.
-//! - Only the **final** segment of a stream may end in damage (the torn
-//!   tail of the crashed write); recovery truncates it rather than
-//!   trusting it. Damage anywhere else cannot be produced by a crash
-//!   and is reported as corruption.
+//! - A newer *format version*, a mismatched *k*, or a stream count
+//!   other than one is a typed refusal, never a fallback — those mean
+//!   operator error, and guessing would silently produce a different
+//!   solution.
+//! - Only the **final** segment may end in damage (the torn tail of the
+//!   crashed write); recovery truncates it rather than trusting it.
+//!   Damage anywhere else cannot be produced by a crash and is reported
+//!   as corruption.
 //! - The recovered stream is the longest *contiguous* run of sequence
 //!   numbers above the checkpoint. Records beyond a gap (possible only
-//!   under mid-log damage in a multi-stream layout) are dropped and
-//!   their bytes scheduled for truncation, so a reopened log never
-//!   collides with stale sequence numbers.
+//!   when a segment file went missing) are dropped and their bytes
+//!   scheduled for truncation, so a reopened log never collides with
+//!   stale sequence numbers.
 
 use crate::error::DurableError;
 use crate::format::{
@@ -26,7 +27,8 @@ use crate::format::{
     MANIFEST_NAME, SEGMENT_HEADER_LEN,
 };
 use crate::storage::WalStorage;
-use dynamis_core::Snapshot;
+use crate::wal::STREAMS;
+use dynamis_core::{DynamicMis, Snapshot};
 use dynamis_graph::Update;
 use std::collections::BTreeMap;
 
@@ -92,9 +94,9 @@ pub struct NewestCheckpoint {
 /// crash-damaged ones in favor of an older survivor. This is the
 /// checkpoint read path shared by [`scan`] and external cold-start
 /// consumers (e.g. a snapshot bootstrap server deciding what a fresh
-/// remote mirror should seed from). A checkpoint with a mismatched `k`
-/// or stream count, or a newer format version, is a typed refusal —
-/// never a fallback.
+/// remote mirror should seed from). A checkpoint with a mismatched `k`,
+/// a stream count other than one, or a newer format version is a typed
+/// refusal — never a fallback.
 pub fn newest_checkpoint(
     storage: &dyn WalStorage,
     manifest: &Manifest,
@@ -115,10 +117,10 @@ pub fn newest_checkpoint(
                         expected: manifest.k,
                     });
                 }
-                if hdr.streams != manifest.streams {
+                if hdr.streams != STREAMS {
                     return Err(DurableError::StreamMismatch {
                         found: hdr.streams,
-                        expected: manifest.streams,
+                        expected: STREAMS,
                     });
                 }
                 if hdr.seq != name_seq {
@@ -144,14 +146,10 @@ pub fn newest_checkpoint(
     Err(DurableError::NoCheckpoint)
 }
 
-/// Scans `storage` without mutating it. `expected_k` / `expected_streams`
-/// (when given) must match the manifest, else the scan is refused with
-/// the corresponding typed error.
-pub fn scan(
-    storage: &dyn WalStorage,
-    expected_k: Option<u32>,
-    expected_streams: Option<u32>,
-) -> Result<ScanReport, DurableError> {
+/// Scans `storage` without mutating it. `expected_k` (when given) must
+/// match the manifest, and the manifest must record one stream, else
+/// the scan is refused with the corresponding typed error.
+pub fn scan(storage: &dyn WalStorage, expected_k: Option<u32>) -> Result<ScanReport, DurableError> {
     let names = storage.list()?;
     if !names.iter().any(|n| n == MANIFEST_NAME) {
         return Err(DurableError::NotInitialized);
@@ -165,13 +163,11 @@ pub fn scan(
             });
         }
     }
-    if let Some(streams) = expected_streams {
-        if manifest.streams != streams {
-            return Err(DurableError::StreamMismatch {
-                found: manifest.streams,
-                expected: streams,
-            });
-        }
+    if manifest.streams != STREAMS {
+        return Err(DurableError::StreamMismatch {
+            found: manifest.streams,
+            expected: STREAMS,
+        });
     }
 
     let mut removes: Vec<String> = names.iter().filter(|n| is_tmp_name(n)).cloned().collect();
@@ -184,48 +180,36 @@ pub fn scan(
     removes.extend(picked.damaged);
     let (checkpoint_seq, snapshot) = (picked.seq, picked.snapshot);
 
-    // ---- decode every stream's segments ------------------------------
-    let streams = manifest.streams.max(1);
-    let mut per_stream_files: Vec<Vec<(u64, String)>> = vec![Vec::new(); streams as usize];
+    // ---- decode the segments, oldest first ---------------------------
+    let mut files: Vec<(u64, String)> = Vec::new();
     for n in &names {
         if let Some((stream, start_seq)) = parse_segment_name(n) {
-            if stream >= streams {
+            if stream != 0 {
                 return Err(DurableError::Corrupt {
                     file: n.clone(),
                     what: "segment stream index out of range",
                 });
             }
-            per_stream_files[stream as usize].push((start_seq, n.clone()));
+            files.push((start_seq, n.clone()));
         }
     }
-    // (seq, update) above the checkpoint, plus where each record lives
-    // so orphans beyond a gap can be cut.
-    let mut records: BTreeMap<u64, Update> = BTreeMap::new();
-    let mut positions: Vec<Vec<(u64, usize, u64)>> = vec![Vec::new(); streams as usize];
-    for (s, files) in per_stream_files.iter_mut().enumerate() {
-        files.sort();
-        let mut last_seq: Option<u64> = None;
-        for (fi, (start_seq, name)) in files.iter().enumerate() {
-            let last_file = fi == files.len() - 1;
-            let bytes = storage.read(name)?;
-            // Damage verdict for this position in the stream: the final
-            // segment's tail is a legal crash artifact (truncate it);
-            // anything earlier no crash can produce.
-            let hdr = match decode_segment_header(&bytes) {
-                Ok(hdr) => hdr,
-                Err(what) => {
-                    if last_file {
-                        removes.push(name.clone());
-                        torn_bytes += bytes.len() as u64;
-                        break;
-                    }
-                    return Err(DurableError::Corrupt {
-                        file: name.clone(),
-                        what,
-                    });
-                }
-            };
-            if hdr.stream != s as u32 || hdr.start_seq != *start_seq {
+    files.sort();
+    // The longest contiguous prefix above the checkpoint, and where the
+    // first record beyond a gap lives so the orphans can be cut.
+    let mut recovered_seq = checkpoint_seq;
+    let mut tail = Vec::new();
+    let mut orphan: Option<(usize, u64)> = None;
+    let mut dropped_records = 0u64;
+    let mut last_seq: Option<u64> = None;
+    for (fi, (start_seq, name)) in files.iter().enumerate() {
+        let last_file = fi == files.len() - 1;
+        let bytes = storage.read(name)?;
+        // Damage verdict for this position in the log: the final
+        // segment's tail is a legal crash artifact (truncate it);
+        // anything earlier no crash can produce.
+        let hdr = match decode_segment_header(&bytes) {
+            Ok(hdr) => hdr,
+            Err(what) => {
                 if last_file {
                     removes.push(name.clone());
                     torn_bytes += bytes.len() as u64;
@@ -233,74 +217,66 @@ pub fn scan(
                 }
                 return Err(DurableError::Corrupt {
                     file: name.clone(),
-                    what: "segment header disagrees with its file name",
+                    what,
                 });
             }
-            let mut off = SEGMENT_HEADER_LEN;
-            loop {
-                match decode_record(&bytes, off) {
-                    RecordStep::End => break,
-                    RecordStep::Damaged(what) => {
-                        if last_file {
-                            truncates.insert(name.clone(), off as u64);
-                            torn_bytes += (bytes.len() - off) as u64;
-                            break;
-                        }
+        };
+        if hdr.stream != 0 || hdr.start_seq != *start_seq {
+            if last_file {
+                removes.push(name.clone());
+                torn_bytes += bytes.len() as u64;
+                break;
+            }
+            return Err(DurableError::Corrupt {
+                file: name.clone(),
+                what: "segment header disagrees with its file name",
+            });
+        }
+        let mut off = SEGMENT_HEADER_LEN;
+        loop {
+            match decode_record(&bytes, off) {
+                RecordStep::End => break,
+                RecordStep::Damaged(what) => {
+                    if last_file {
+                        truncates.insert(name.clone(), off as u64);
+                        torn_bytes += (bytes.len() - off) as u64;
+                        break;
+                    }
+                    return Err(DurableError::Corrupt {
+                        file: name.clone(),
+                        what,
+                    });
+                }
+                RecordStep::Record { seq, update, next } => {
+                    if last_seq.is_some_and(|p| seq <= p) {
                         return Err(DurableError::Corrupt {
                             file: name.clone(),
-                            what,
+                            what: "sequence numbers not increasing",
                         });
                     }
-                    RecordStep::Record { seq, update, next } => {
-                        if seq % streams as u64 != s as u64 {
-                            return Err(DurableError::Corrupt {
-                                file: name.clone(),
-                                what: "record routed to the wrong stream",
-                            });
+                    last_seq = Some(seq);
+                    if seq > checkpoint_seq {
+                        if orphan.is_none() && seq == recovered_seq + 1 {
+                            recovered_seq = seq;
+                            tail.push(update);
+                        } else {
+                            orphan.get_or_insert((fi, off as u64));
+                            dropped_records += 1;
                         }
-                        if last_seq.is_some_and(|p| seq <= p) {
-                            return Err(DurableError::Corrupt {
-                                file: name.clone(),
-                                what: "sequence numbers not increasing",
-                            });
-                        }
-                        last_seq = Some(seq);
-                        if seq > checkpoint_seq {
-                            positions[s].push((seq, fi, off as u64));
-                            if records.insert(seq, update).is_some() {
-                                return Err(DurableError::Corrupt {
-                                    file: name.clone(),
-                                    what: "duplicate sequence number",
-                                });
-                            }
-                        }
-                        off = next;
                     }
+                    off = next;
                 }
             }
         }
     }
-
-    // ---- longest contiguous prefix above the checkpoint --------------
-    let mut recovered_seq = checkpoint_seq;
-    let mut tail = Vec::new();
-    while let Some(update) = records.remove(&(recovered_seq + 1)) {
-        recovered_seq += 1;
-        tail.push(update);
-    }
-    let dropped_records = records.len() as u64;
-    if dropped_records > 0 {
-        // Cut each stream at its first orphan so reopened appends can
-        // never collide with stale sequence numbers.
-        for (s, pos) in positions.iter().enumerate() {
-            if let Some(&(_, fi, off)) = pos.iter().find(|(seq, _, _)| *seq > recovered_seq) {
-                let (_, name) = &per_stream_files[s][fi];
-                let cut = truncates.get(name).map_or(off, |&t| t.min(off));
-                truncates.insert(name.clone(), cut);
-                for (_, later) in &per_stream_files[s][fi + 1..] {
-                    removes.push(later.clone());
-                }
-            }
+    if let Some((fi, off)) = orphan {
+        // Cut the log at its first orphan so reopened appends can never
+        // collide with stale sequence numbers.
+        let name = &files[fi].1;
+        let cut = truncates.get(name).map_or(off, |&t| t.min(off));
+        truncates.insert(name.clone(), cut);
+        for (_, later) in &files[fi + 1..] {
+            removes.push(later.clone());
         }
     }
 
@@ -326,6 +302,28 @@ pub fn scan(
         torn_bytes,
         dropped_records,
     })
+}
+
+/// Replays a WAL tail into `engine` (built from the checkpoint at
+/// `checkpoint_seq`), one update per call, never a batch: batched
+/// application is free to skip intermediate swap cascades (the state is
+/// k-maximal either way but need not be *the same* state), and recovery
+/// promises the exact per-update state. Every consumer that rebuilds a
+/// recovered state goes through here, so they all land on the same one.
+pub fn replay_tail(
+    engine: &mut dyn DynamicMis,
+    checkpoint_seq: u64,
+    tail: &[Update],
+) -> Result<(), DurableError> {
+    for (index, u) in tail.iter().enumerate() {
+        if let Err(cause) = engine.try_apply(u) {
+            return Err(DurableError::Replay {
+                seq: checkpoint_seq + 1 + index as u64,
+                cause,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Applies the repairs a scan prescribed. Idempotent: re-running after

@@ -2,8 +2,8 @@
 //! with group-commit write-through and fsync batching off the writer
 //! thread.
 //!
-//! The writer encodes records into per-stream user-space buffers under
-//! a short mutex; under [`SyncPolicy::Group`] a background thread ticks
+//! The writer encodes records into one user-space buffer under a short
+//! mutex; under [`SyncPolicy::Group`] a background thread ticks
 //! every couple of milliseconds, writes the buffered bytes through, and
 //! fsyncs the touched segments. The ingest hot path therefore costs a
 //! memcpy, not a syscall, and the durability lag of an acknowledged
@@ -37,7 +37,7 @@ pub enum SyncPolicy {
     Group,
 }
 
-/// Backstop on the bytes a stream may buffer in user space before the
+/// Backstop on the bytes the log may buffer in user space before the
 /// writer itself writes through inline. Under [`SyncPolicy::Group`] the
 /// tick thread normally drains buffers long before this; the cap only
 /// bounds memory if storage stalls or ingest outruns the tick. Under
@@ -51,7 +51,12 @@ const MAX_BUFFER: usize = 256 << 10;
 /// just when a size threshold fills.
 const SYNC_INTERVAL: std::time::Duration = std::time::Duration::from_millis(2);
 
-/// One WAL stream's open segment.
+/// The stream count every manifest and checkpoint records. The on-disk
+/// format keeps a `streams` word; this layer writes one stream, index 0
+/// in every segment name and header, and refuses any other count.
+pub(crate) const STREAMS: u32 = 1;
+
+/// The WAL's open segment.
 struct Seg {
     name: String,
     /// Bytes already written through to storage.
@@ -68,10 +73,10 @@ impl Seg {
 }
 
 /// State shared between the writer and the group-commit thread: the
-/// open segments (with their pending buffers) and the names written
+/// open segment (with its pending buffer) and the names written
 /// through since the last fsync round.
 pub(crate) struct Shared {
-    streams: Vec<Option<Seg>>,
+    seg: Option<Seg>,
     /// Names with bytes on storage not yet covered by an fsync —
     /// drained by the group tick or by [`Wal::sync`]. Only maintained
     /// when someone will drain it (not under [`SyncPolicy::Never`]).
@@ -80,11 +85,12 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Writes stream `s`'s buffer through to storage. Must run under
-    /// the shared lock — ordering between the writer's inline flushes
-    /// (rolls, checkpoints) and the tick thread's drains depends on it.
-    fn write_through(&mut self, storage: &dyn WalStorage, s: usize) -> io::Result<()> {
-        if let Some(seg) = self.streams[s].as_mut() {
+    /// Writes the open segment's buffer through to storage. Must run
+    /// under the shared lock — ordering between the writer's inline
+    /// flushes (rolls, checkpoints) and the tick thread's drains depends
+    /// on it.
+    fn write_through(&mut self, storage: &dyn WalStorage) -> io::Result<()> {
+        if let Some(seg) = self.seg.as_mut() {
             if !seg.buf.is_empty() {
                 storage.append(&seg.name, &seg.buf)?;
                 seg.written += seg.buf.len() as u64;
@@ -96,25 +102,14 @@ impl Shared {
         }
         Ok(())
     }
-
-    fn write_through_all(&mut self, storage: &dyn WalStorage) -> io::Result<()> {
-        for s in 0..self.streams.len() {
-            self.write_through(storage, s)?;
-        }
-        Ok(())
-    }
 }
 
-/// The segmented writer: routes record `seq` to stream `seq % P`,
-/// buffers encoded records per stream, and rolls segments at a size
-/// threshold. The buffers live behind a mutex shared with the
-/// group-commit thread, which drains them on its tick.
+/// The segmented writer: buffers encoded records and rolls segments at
+/// a size threshold. The buffer lives behind a mutex shared with the
+/// group-commit thread, which drains it on its tick.
 pub(crate) struct Wal {
     storage: Arc<dyn WalStorage>,
     shared: Arc<Mutex<Shared>>,
-    /// Stream count, fixed at construction (the length of
-    /// `Shared::streams`), kept here so routing needs no lock.
-    streams: u64,
     seg_bytes: u64,
     /// Sequence number the next accepted update will get (1-based).
     pub(crate) next_seq: u64,
@@ -123,33 +118,30 @@ pub(crate) struct Wal {
 impl Wal {
     pub(crate) fn new(
         storage: Arc<dyn WalStorage>,
-        streams: u32,
         next_seq: u64,
         seg_bytes: u64,
         track_flushed: bool,
     ) -> Wal {
-        let streams = streams.max(1);
         Wal {
             storage,
             shared: Arc::new(Mutex::new(Shared {
-                streams: (0..streams).map(|_| None).collect(),
+                seg: None,
                 flushed: BTreeSet::new(),
                 track_flushed,
             })),
-            streams: streams as u64,
             seg_bytes: seg_bytes.max(1024),
             next_seq,
         }
     }
 
-    /// Handle for a [`GroupCommit`] thread to drain the buffers.
+    /// Handle for a [`GroupCommit`] thread to drain the buffer.
     pub(crate) fn shared(&self) -> Arc<Mutex<Shared>> {
         Arc::clone(&self.shared)
     }
 
     /// Appends the accepted `updates` as the next sequence numbers,
-    /// under one lock. Each record lands in its stream's buffer; it
-    /// reaches storage on the next group tick, at a roll/checkpoint/sync,
+    /// under one lock. Each record lands in the open segment's buffer;
+    /// it reaches storage on the next group tick, at a roll/checkpoint/sync,
     /// or at the buffer backstop. On an error the records before the
     /// failing one stay appended.
     pub(crate) fn append(&mut self, updates: &[Update]) -> io::Result<()> {
@@ -159,24 +151,23 @@ impl Wal {
             .expect("WAL buffers poisoned: the group-commit thread panicked");
         for update in updates {
             let seq = self.next_seq;
-            let s = (seq % self.streams) as usize;
-            if g.streams[s]
+            if g.seg
                 .as_ref()
                 .is_some_and(|seg| seg.logical() >= self.seg_bytes)
             {
                 // Write the closing segment out in full before dropping
                 // it: a checkpoint fallback replays these records from
                 // disk.
-                g.write_through(&*self.storage, s)?;
-                g.streams[s] = None;
+                g.write_through(&*self.storage)?;
+                g.seg = None;
             }
-            let seg = match &mut g.streams[s] {
+            let seg = match &mut g.seg {
                 Some(seg) => seg,
                 empty => {
-                    let name = segment_name(s as u32, seq);
+                    let name = segment_name(0, seq);
                     self.storage.create(&name)?;
                     let mut buf = Vec::with_capacity(4096);
-                    buf.extend_from_slice(&encode_segment_header(s as u32, seq));
+                    buf.extend_from_slice(&encode_segment_header(0, seq));
                     empty.insert(Seg {
                         name,
                         written: 0,
@@ -187,29 +178,26 @@ impl Wal {
             encode_record(seq, update, &mut seg.buf);
             self.next_seq = seq + 1;
             if seg.buf.len() >= MAX_BUFFER {
-                g.write_through(&*self.storage, s)?;
+                g.write_through(&*self.storage)?;
             }
         }
         Ok(())
     }
 
-    /// Writes every stream's buffer through to storage (no fsync).
+    /// Writes the buffer through to storage (no fsync).
     pub(crate) fn flush(&mut self) -> io::Result<()> {
-        self.shared
-            .lock()
-            .unwrap()
-            .write_through_all(&*self.storage)
+        self.shared.lock().unwrap().write_through(&*self.storage)
     }
 
     /// Flushes, then fsyncs every segment written through since the
-    /// last sync round plus every open segment (the
+    /// last sync round plus the open segment (the
     /// [`SyncPolicy::Always`] path and the shutdown path).
     pub(crate) fn sync(&mut self) -> io::Result<()> {
         let names = {
             let g = &mut *self.shared.lock().unwrap();
-            g.write_through_all(&*self.storage)?;
+            g.write_through(&*self.storage)?;
             let mut names = std::mem::take(&mut g.flushed);
-            names.extend(g.streams.iter().flatten().map(|s| s.name.clone()));
+            names.extend(g.seg.iter().map(|s| s.name.clone()));
             names
         };
         for name in &names {
@@ -218,21 +206,19 @@ impl Wal {
         Ok(())
     }
 
-    /// Flushes and closes every open segment; the next append per
-    /// stream starts a fresh one. Called after a checkpoint so pruning
-    /// can reason in whole segments.
-    pub(crate) fn roll_all(&mut self) -> io::Result<()> {
+    /// Flushes and closes the open segment; the next append starts a
+    /// fresh one. Called after a checkpoint so pruning can reason in
+    /// whole segments.
+    pub(crate) fn roll(&mut self) -> io::Result<()> {
         let g = &mut *self.shared.lock().unwrap();
-        g.write_through_all(&*self.storage)?;
-        for s in g.streams.iter_mut() {
-            *s = None;
-        }
+        g.write_through(&*self.storage)?;
+        g.seg = None;
         Ok(())
     }
 }
 
-/// The group-commit thread: wakes on a fixed interval, writes every
-/// stream's buffered records through, and fsyncs each touched segment
+/// The group-commit thread: wakes on a fixed interval, writes the
+/// buffered records through, and fsyncs each touched segment
 /// once no matter how much piled up since the last tick — that
 /// coalescing is the whole point. Storage failures set a flag the
 /// writer checks on its next acknowledgement (fail-open) and are
@@ -260,7 +246,7 @@ impl GroupCommit {
                     }
                     let names = {
                         let g = &mut *shared.lock().unwrap();
-                        if let Err(_e) = g.write_through_all(&*storage) {
+                        if let Err(_e) = g.write_through(&*storage) {
                             errors.add(1);
                             failed.store(true, Ordering::Release);
                         }
@@ -312,46 +298,47 @@ mod tests {
     use crate::storage::MemStorage;
 
     #[test]
-    fn records_route_round_robin_and_segments_roll() {
+    fn records_stay_in_order_and_segments_roll() {
         let st = MemStorage::new();
-        let mut wal = Wal::new(Arc::new(st.clone()), 2, 1, 1024, true);
+        let mut wal = Wal::new(Arc::new(st.clone()), 1, 1024, true);
         let updates: Vec<_> = (0..6u32).map(|i| Update::InsertEdge(i, i + 1)).collect();
         wal.append(&updates).unwrap();
         assert_eq!(wal.next_seq, 7);
         // Records buffer in user space until a flush point.
         wal.flush().unwrap();
-        // Streams 0 and 1 each got every other record.
         let names = st.list().unwrap();
-        assert_eq!(names.len(), 2, "one open segment per stream: {names:?}");
-        for name in names {
-            let bytes = st.read(&name).unwrap();
-            let hdr = decode_segment_header(&bytes).unwrap();
-            let mut off = SEGMENT_HEADER_LEN;
-            let mut seqs = Vec::new();
-            loop {
-                match decode_record(&bytes, off) {
-                    RecordStep::Record { seq, next, .. } => {
-                        seqs.push(seq);
-                        off = next;
-                    }
-                    RecordStep::End => break,
-                    RecordStep::Damaged(what) => panic!("clean segment damaged: {what}"),
+        assert_eq!(names, vec![segment_name(0, 1)], "one open segment");
+        let bytes = st.read(&names[0]).unwrap();
+        let hdr = decode_segment_header(&bytes).unwrap();
+        assert_eq!((hdr.stream, hdr.start_seq), (0, 1));
+        let mut off = SEGMENT_HEADER_LEN;
+        let mut seqs = Vec::new();
+        loop {
+            match decode_record(&bytes, off) {
+                RecordStep::Record { seq, next, .. } => {
+                    seqs.push(seq);
+                    off = next;
                 }
+                RecordStep::End => break,
+                RecordStep::Damaged(what) => panic!("clean segment damaged: {what}"),
             }
-            assert!(seqs.iter().all(|s| s % 2 == hdr.stream as u64));
-            assert_eq!(seqs.len(), 3);
         }
-        // Roll: the next appends open fresh segments.
-        wal.roll_all().unwrap();
+        assert_eq!(seqs, (1..=6).collect::<Vec<u64>>());
+        // Roll: the next append opens a fresh segment at its seq.
+        wal.roll().unwrap();
         wal.append(&[Update::InsertEdge(90, 91), Update::InsertEdge(92, 93)])
             .unwrap();
-        assert_eq!(st.list().unwrap().len(), 4);
+        wal.flush().unwrap();
+        assert_eq!(
+            st.list().unwrap(),
+            vec![segment_name(0, 1), segment_name(0, 7)]
+        );
     }
 
     #[test]
     fn group_tick_drains_buffers_without_writer_involvement() {
         let st = MemStorage::new();
-        let mut wal = Wal::new(Arc::new(st.clone()), 1, 1, 1 << 20, true);
+        let mut wal = Wal::new(Arc::new(st.clone()), 1, 1 << 20, true);
         let group = GroupCommit::spawn(Arc::new(st.clone()), wal.shared());
         wal.append(&[Update::InsertEdge(1, 2)]).unwrap();
         let name = segment_name(0, 1);

@@ -37,7 +37,6 @@ fn record(seed: u64) -> Recorded {
     let storage = MemStorage::new();
     let arc: Arc<dyn WalStorage> = Arc::new(storage.clone());
     let opts = DurableOptions {
-        streams: 1,
         sync: SyncPolicy::Never,
         checkpoint_every: 12,
         segment_bytes: 200,
@@ -116,7 +115,7 @@ fn every_byte_bit_flip_never_panics_and_never_forges() {
             for mask in [0x01u8, 0x80] {
                 let fs = fork(&r.storage);
                 fs.corrupt(name, off, mask);
-                assert_survivable(scan(&fs, None, None), &r);
+                assert_survivable(scan(&fs, None), &r);
             }
         }
     }
@@ -130,7 +129,7 @@ fn every_prefix_truncation_never_panics_and_never_forges() {
         for keep in 0..len {
             let fs = fork(&r.storage);
             fs.truncate(&name, keep as u64).unwrap();
-            assert_survivable(scan(&fs, None, None), &r);
+            assert_survivable(scan(&fs, None), &r);
         }
     }
 }
@@ -141,7 +140,7 @@ fn file_removal_never_panics_and_never_forges() {
     for name in r.storage.list().unwrap() {
         let fs = fork(&r.storage);
         fs.remove(&name).unwrap();
-        assert_survivable(scan(&fs, None, None), &r);
+        assert_survivable(scan(&fs, None), &r);
     }
 }
 
@@ -150,7 +149,7 @@ fn file_removal_never_panics_and_never_forges() {
 #[test]
 fn damaged_newest_checkpoint_falls_back_without_losing_updates() {
     let r = record(14);
-    let reference = scan(&r.storage, None, None).unwrap();
+    let reference = scan(&r.storage, None).unwrap();
     let mut ckpts: Vec<String> = r
         .storage
         .list()
@@ -164,7 +163,7 @@ fn damaged_newest_checkpoint_falls_back_without_losing_updates() {
 
     let fs = fork(&r.storage);
     fs.corrupt(newest, format::CKPT_HEADER_LEN + 3, 0xFF); // body flip
-    let rep = scan(&fs, None, None).unwrap();
+    let rep = scan(&fs, None).unwrap();
     assert_eq!(rep.skipped_checkpoints, 1);
     assert!(rep.checkpoint_seq < reference.checkpoint_seq);
     assert_eq!(
@@ -180,7 +179,7 @@ fn damaged_newest_checkpoint_falls_back_without_losing_updates() {
 #[test]
 fn checksummed_checkpoint_with_bad_edges_falls_back() {
     let r = record(20);
-    let reference = scan(&r.storage, None, None).unwrap();
+    let reference = scan(&r.storage, None).unwrap();
     let newest = format::checkpoint_name(reference.checkpoint_seq);
     let file = r.storage.read(&newest).unwrap();
     let (header, body) = file.split_at(format::CKPT_HEADER_LEN);
@@ -235,7 +234,7 @@ fn checksummed_checkpoint_with_bad_edges_falls_back() {
         );
         let fs = fork(&r.storage);
         fs.overwrite(&newest, patched);
-        let rep = scan(&fs, None, None).unwrap();
+        let rep = scan(&fs, None).unwrap();
         assert_eq!(rep.skipped_checkpoints, 1, "{what}");
         assert!(rep.checkpoint_seq < reference.checkpoint_seq, "{what}");
         assert_eq!(rep.recovered_seq, reference.recovered_seq, "{what}");
@@ -253,7 +252,7 @@ fn all_checkpoints_damaged_is_a_typed_refusal() {
             fs.corrupt(&name, CKPT_VERSION_OFFSET + 20, 0x55);
         }
     }
-    match scan(&fs, None, None) {
+    match scan(&fs, None) {
         Err(DurableError::NoCheckpoint) => {}
         other => panic!("expected NoCheckpoint, got {other:?}"),
     }
@@ -265,17 +264,11 @@ fn manifest_damage_is_a_typed_error() {
     // Truncated manifest.
     let fs = fork(&r.storage);
     fs.truncate(format::MANIFEST_NAME, 10).unwrap();
-    assert!(matches!(
-        scan(&fs, None, None),
-        Err(DurableError::Corrupt { .. })
-    ));
+    assert!(matches!(scan(&fs, None), Err(DurableError::Corrupt { .. })));
     // Missing manifest.
     let fs = fork(&r.storage);
     fs.remove(format::MANIFEST_NAME).unwrap();
-    assert!(matches!(
-        scan(&fs, None, None),
-        Err(DurableError::NotInitialized)
-    ));
+    assert!(matches!(scan(&fs, None), Err(DurableError::NotInitialized)));
 }
 
 /// A checkpoint from a future format version is refused outright even
@@ -293,7 +286,7 @@ fn newer_checkpoint_version_is_refused_not_skipped() {
     // Bump the version field; the header CRC does not cover it (the
     // version gate must fire before any version-specific parsing).
     fs.corrupt(&ckpt, CKPT_VERSION_OFFSET, 0x02);
-    match scan(&fs, None, None) {
+    match scan(&fs, None) {
         Err(DurableError::UnsupportedVersion { found, supported }) => {
             assert_eq!(found, format::FORMAT_VERSION | 0x02);
             assert_eq!(supported, format::FORMAT_VERSION);
@@ -335,11 +328,93 @@ fn checkpoint_k_flip_is_a_typed_refusal() {
         .rfind(|n| format::parse_checkpoint_name(n).is_some())
         .unwrap();
     fs.corrupt(&ckpt, CKPT_K_OFFSET, 0x01); // k: 2 → 3
-    match scan(&fs, None, None) {
+    match scan(&fs, None) {
         Err(DurableError::KMismatch {
             found: 3,
             expected: 2,
         }) => {}
         other => panic!("expected KMismatch, got {other:?}"),
+    }
+}
+
+/// A directory whose MANIFEST records two WAL streams cannot be read by
+/// a single-stream writer: `prepare` refuses it whether or not any
+/// other state exists, and so does `scan`, before any repair runs.
+#[test]
+fn multi_stream_manifest_is_a_typed_refusal() {
+    let expect_mismatch = |what: &str, result: Result<_, DurableError>| match result {
+        Err(DurableError::StreamMismatch {
+            found: 2,
+            expected: 1,
+        }) => {}
+        Err(other) => panic!("{what}: expected StreamMismatch, got {other:?}"),
+        Ok(_) => panic!("{what}: expected StreamMismatch, got Ok"),
+    };
+    // A manifest and nothing else: the fresh-directory path.
+    let fs = MemStorage::new();
+    fs.overwrite(format::MANIFEST_NAME, format::encode_manifest(2, 2));
+    let arc: Arc<dyn WalStorage> = Arc::new(fs.clone());
+    expect_mismatch(
+        "bare manifest",
+        prepare(arc, 2, DurableOptions::default()).map(|_| ()),
+    );
+    assert_eq!(fs.list().unwrap(), vec![format::MANIFEST_NAME.to_string()]);
+
+    // The same manifest over a valid directory's checkpoints and WAL.
+    let r = record(21);
+    let fs = fork(&r.storage);
+    fs.overwrite(format::MANIFEST_NAME, format::encode_manifest(2, 2));
+    let before = fs.list().unwrap();
+    let arc: Arc<dyn WalStorage> = Arc::new(fs.clone());
+    expect_mismatch(
+        "prepare",
+        prepare(arc, 2, DurableOptions::default()).map(|_| ()),
+    );
+    expect_mismatch("scan", scan(&fs, None).map(|_| ()));
+    assert_eq!(fs.list().unwrap(), before, "refusal must not mutate");
+}
+
+/// A segment named for WAL stream 1 is corruption: a single-stream
+/// writer never creates one, and its records cannot be placed.
+#[test]
+fn segment_of_a_second_stream_is_corrupt() {
+    let r = record(22);
+    let fs = fork(&r.storage);
+    let stray = format::segment_name(1, 1);
+    let mut bytes = format::encode_segment_header(1, 1);
+    format::encode_record(1, &r.accepted[0], &mut bytes);
+    fs.overwrite(&stray, bytes);
+    match scan(&fs, None) {
+        Err(DurableError::Corrupt { file, what }) => {
+            assert_eq!(file, stray);
+            assert_eq!(what, "segment stream index out of range");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+/// A checkpoint whose header records two WAL streams is refused with
+/// the typed error, never skipped as damage in favor of an older one.
+#[test]
+fn multi_stream_checkpoint_is_a_typed_refusal() {
+    let r = record(23);
+    let reference = scan(&r.storage, None).unwrap();
+    let newest = format::checkpoint_name(reference.checkpoint_seq);
+    let file = r.storage.read(&newest).unwrap();
+    let k = u32::from_le_bytes(file[CKPT_K_OFFSET..CKPT_K_OFFSET + 4].try_into().unwrap());
+    let body = &file[format::CKPT_HEADER_LEN..];
+    let fs = fork(&r.storage);
+    fs.overwrite(
+        &newest,
+        format::encode_checkpoint(k, 2, reference.checkpoint_seq, |out| {
+            out.extend_from_slice(body)
+        }),
+    );
+    match scan(&fs, None) {
+        Err(DurableError::StreamMismatch {
+            found: 2,
+            expected: 1,
+        }) => {}
+        other => panic!("expected StreamMismatch, got {other:?}"),
     }
 }

@@ -7,15 +7,12 @@
 //! the rest must land on the identical state; any divergence means the
 //! WAL lost, duplicated, or reordered an accepted update.
 //!
-//! The sweep runs for the single-writer engine and the canonical
-//! sharded engine at P ∈ {2, 4} (WAL streams = shards, records routed
-//! `seq % P`), plus a proptest that randomizes the update stream and
-//! the crash offset together.
+//! One sweep crashes at every byte; a proptest randomizes the update
+//! stream and the crash offset together.
 
 use dynamis_core::{DynamicMis, EngineBuilder, SolutionMirror};
 use dynamis_durable::{prepare, DurableOptions, Logged, MemStorage, SyncPolicy, WalStorage};
 use dynamis_graph::{DynamicGraph, Update};
-use dynamis_shard::ShardedEngine;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::sync::Arc;
@@ -55,38 +52,8 @@ fn workload(n: u32, updates: usize, seed: u64) -> (DynamicGraph, Vec<Update>) {
     (g, stream)
 }
 
-/// How the engine under test is built: single-writer (any k) or the
-/// canonical sharded engine (k ≤ 2, P writer cells).
-#[derive(Clone, Copy)]
-enum Flavor {
-    Single,
-    Sharded(u32),
-}
-
-impl Flavor {
-    fn streams(self) -> u32 {
-        match self {
-            Flavor::Single => 1,
-            Flavor::Sharded(p) => p,
-        }
-    }
-
-    fn build(self, builder: EngineBuilder) -> Box<dyn DynamicMis> {
-        match self {
-            Flavor::Single => builder.build().unwrap(),
-            Flavor::Sharded(p) => Box::new(
-                builder
-                    .shards(p as usize)
-                    .build_as::<ShardedEngine>()
-                    .unwrap(),
-            ),
-        }
-    }
-}
-
-fn opts(flavor: Flavor) -> DurableOptions {
+fn opts() -> DurableOptions {
     DurableOptions {
-        streams: flavor.streams(),
         sync: SyncPolicy::Always,
         checkpoint_every: 16,
         segment_bytes: 256, // force rolls so sweeps cross segment seams
@@ -104,12 +71,12 @@ struct Reference {
     bytes: u64,
 }
 
-fn reference(g: &DynamicGraph, stream: &[Update], flavor: Flavor) -> Reference {
+fn reference(g: &DynamicGraph, stream: &[Update]) -> Reference {
     let storage = MemStorage::new();
     let arc: Arc<dyn WalStorage> = Arc::new(storage.clone());
-    let mut prepared = prepare(arc, 2, opts(flavor)).unwrap();
+    let mut prepared = prepare(arc, 2, opts()).unwrap();
     let builder = prepared.resume_builder(EngineBuilder::on(g.clone()).k(2));
-    let mut engine = prepared.attach(flavor.build(builder)).unwrap();
+    let mut engine = prepared.attach(builder.build().unwrap()).unwrap();
     let mut pos_of_seq = Vec::new();
     for (i, u) in stream.iter().enumerate() {
         if engine.try_apply(u).is_ok() {
@@ -134,7 +101,6 @@ fn reference(g: &DynamicGraph, stream: &[Update], flavor: Flavor) -> Reference {
 fn crash_at(
     g: &DynamicGraph,
     stream: &[Update],
-    flavor: Flavor,
     reference: &Reference,
     budget: u64,
 ) -> (Vec<u32>, u64, Vec<u32>) {
@@ -146,9 +112,9 @@ fn crash_at(
     // storage failure (fail-open would keep serving, but a crash test
     // models the host going down with it).
     let first_life = (|| -> Result<(), ()> {
-        let mut prepared = prepare(Arc::clone(&arc), 2, opts(flavor)).map_err(|_| ())?;
+        let mut prepared = prepare(Arc::clone(&arc), 2, opts()).map_err(|_| ())?;
         let builder = prepared.resume_builder(EngineBuilder::on(g.clone()).k(2));
-        let mut engine = prepared.attach(flavor.build(builder)).map_err(|_| ())?;
+        let mut engine = prepared.attach(builder.build().unwrap()).map_err(|_| ())?;
         for u in stream {
             let _ = engine.try_apply(u);
             if storage.is_dead() {
@@ -165,7 +131,7 @@ fn crash_at(
 
     // Second life: restart against the surviving bytes.
     storage.revive();
-    let mut prepared = prepare(arc, 2, opts(flavor)).unwrap();
+    let mut prepared = prepare(arc, 2, opts()).unwrap();
     let recovered = prepared.recovered_seq;
     assert!(
         recovered <= reference.accepted,
@@ -178,7 +144,7 @@ fn crash_at(
         reference.pos_of_seq[recovered as usize - 1] + 1
     };
     let builder = prepared.resume_builder(EngineBuilder::on(g.clone()).k(2));
-    let mut engine = prepared.attach(flavor.build(builder)).unwrap();
+    let mut engine = prepared.attach(builder.build().unwrap()).unwrap();
     let _ = engine.drain_delta();
     let mut mirror = SolutionMirror::from_solution(&engine.solution());
     for u in &stream[resume_at..] {
@@ -196,13 +162,13 @@ fn crash_at(
     out
 }
 
-fn check_equivalence(flavor: Flavor, n: u32, updates: usize, seed: u64, stride: u64) {
+fn check_equivalence(n: u32, updates: usize, seed: u64, stride: u64) {
     let (g, stream) = workload(n, updates, seed);
-    let r = reference(&g, &stream, flavor);
+    let r = reference(&g, &stream);
     assert!(r.accepted > 0, "degenerate workload: nothing accepted");
     let mut offset = 0;
     while offset <= r.bytes {
-        let (solution, seq, mirror) = crash_at(&g, &stream, flavor, &r, offset);
+        let (solution, seq, mirror) = crash_at(&g, &stream, &r, offset);
         assert_eq!(
             solution, r.solution,
             "crash at byte {offset}: solution diverged"
@@ -218,35 +184,23 @@ fn check_equivalence(flavor: Flavor, n: u32, updates: usize, seed: u64, stride: 
 
 #[test]
 fn single_writer_crash_at_every_byte() {
-    check_equivalence(Flavor::Single, 24, 48, 0xD15C0, 1);
-}
-
-#[test]
-fn sharded_p2_crash_at_every_byte() {
-    check_equivalence(Flavor::Sharded(2), 16, 24, 0xD15C1, 1);
-}
-
-#[test]
-fn sharded_p4_crash_at_every_byte() {
-    check_equivalence(Flavor::Sharded(4), 16, 24, 0xD15C2, 1);
+    check_equivalence(24, 48, 0xD15C0, 1);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random workload × random crash offset, both flavors.
+    /// Random workload × random crash offset.
     #[test]
     fn random_stream_random_crash(seed in 0u64..1u32 as u64 * 1000, frac in 0.0f64..1.0) {
-        for flavor in [Flavor::Single, Flavor::Sharded(2)] {
-            let (g, stream) = workload(20, 32, seed);
-            let r = reference(&g, &stream, flavor);
-            prop_assert!(r.accepted > 0, "degenerate workload: nothing accepted");
-            let offset = (frac * r.bytes as f64) as u64;
-            let (solution, seq, mirror) = crash_at(&g, &stream, flavor, &r, offset);
-            prop_assert_eq!(&solution, &r.solution);
-            prop_assert_eq!(seq, r.accepted);
-            prop_assert_eq!(&mirror, &r.solution);
-        }
+        let (g, stream) = workload(20, 32, seed);
+        let r = reference(&g, &stream);
+        prop_assert!(r.accepted > 0, "degenerate workload: nothing accepted");
+        let offset = (frac * r.bytes as f64) as u64;
+        let (solution, seq, mirror) = crash_at(&g, &stream, &r, offset);
+        prop_assert_eq!(&solution, &r.solution);
+        prop_assert_eq!(seq, r.accepted);
+        prop_assert_eq!(&mirror, &r.solution);
     }
 }
 
@@ -254,9 +208,8 @@ proptest! {
 /// land in fresh segments and a subsequent recovery sees both epochs.
 #[test]
 fn recovery_then_more_updates_then_recovery_again() {
-    let flavor = Flavor::Single;
     let (g, stream) = workload(20, 40, 7);
-    let r = reference(&g, &stream, flavor);
+    let r = reference(&g, &stream);
     let half = stream.len() / 2;
 
     // Enough budget to get past init and into the update stream; the
@@ -264,9 +217,9 @@ fn recovery_then_more_updates_then_recovery_again() {
     let storage = MemStorage::with_budget(r.bytes * 2 / 3);
     let arc: Arc<dyn WalStorage> = Arc::new(storage.clone());
     {
-        let mut prepared = prepare(Arc::clone(&arc), 2, opts(flavor)).unwrap();
+        let mut prepared = prepare(Arc::clone(&arc), 2, opts()).unwrap();
         let builder = prepared.resume_builder(EngineBuilder::on(g.clone()).k(2));
-        let mut engine = prepared.attach(flavor.build(builder)).unwrap();
+        let mut engine = prepared.attach(builder.build().unwrap()).unwrap();
         for u in &stream[..half] {
             let _ = engine.try_apply(u);
             if storage.is_dead() {
@@ -276,7 +229,7 @@ fn recovery_then_more_updates_then_recovery_again() {
     }
 
     storage.revive();
-    let mut prepared = prepare(Arc::clone(&arc), 2, opts(flavor)).unwrap();
+    let mut prepared = prepare(Arc::clone(&arc), 2, opts()).unwrap();
     let recovered = prepared.recovered_seq;
     let resume_at = if recovered == 0 {
         0
@@ -284,7 +237,7 @@ fn recovery_then_more_updates_then_recovery_again() {
         r.pos_of_seq[recovered as usize - 1] + 1
     };
     let builder = prepared.resume_builder(EngineBuilder::on(g.clone()).k(2));
-    let mut engine: Logged = prepared.attach(flavor.build(builder)).unwrap();
+    let mut engine: Logged = prepared.attach(builder.build().unwrap()).unwrap();
     for u in &stream[resume_at..] {
         let _ = engine.try_apply(u);
     }
@@ -292,10 +245,10 @@ fn recovery_then_more_updates_then_recovery_again() {
     drop(engine); // clean shutdown this time
 
     // Third life: everything including the post-crash epoch is there.
-    let mut prepared = prepare(arc, 2, opts(flavor)).unwrap();
+    let mut prepared = prepare(arc, 2, opts()).unwrap();
     assert_eq!(prepared.recovered_seq, r.accepted);
     let builder = prepared.resume_builder(EngineBuilder::on(g).k(2));
-    let engine = prepared.attach(flavor.build(builder)).unwrap();
+    let engine = prepared.attach(builder.build().unwrap()).unwrap();
     assert_eq!(engine.solution(), r.solution);
 }
 

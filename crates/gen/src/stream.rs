@@ -76,14 +76,6 @@ impl StreamConfig {
     }
 }
 
-/// Region-biased sampling state: which region each vertex belongs to
-/// and a per-region bag of alive vertices for O(1) local sampling.
-struct Regions {
-    of: Vec<u32>,
-    bags: Vec<IndexedBag>,
-    bias: f64,
-}
-
 /// Generator of valid update operations against an evolving shadow graph.
 pub struct UpdateStream {
     shadow: DynamicGraph,
@@ -94,7 +86,6 @@ pub struct UpdateStream {
     edge_pos: FxHashMap<u64, u32>,
     alive: IndexedBag,
     new_vertex_degree: usize,
-    regions: Option<Regions>,
 }
 
 impl UpdateStream {
@@ -134,38 +125,7 @@ impl UpdateStream {
             } else {
                 cfg.new_vertex_degree
             },
-            regions: None,
         }
-    }
-
-    /// Builds a *region-biased* stream: with probability `bias` an edge
-    /// insertion draws both endpoints from the same region, and a fresh
-    /// vertex wires its initial edges into its home region — modeling
-    /// the community-local update traffic a locality-aware partition
-    /// banks on. `regions[v]` names live vertex `v`'s region (e.g. the
-    /// planted community `v / block_size`); fresh vertices adopt the
-    /// region of a uniformly sampled live vertex. Deletions stay
-    /// uniform — removing a sampled edge or vertex is region-local by
-    /// construction. `bias = 0.0` degenerates to [`UpdateStream::new`].
-    pub fn with_regions(
-        start: &DynamicGraph,
-        cfg: StreamConfig,
-        seed: u64,
-        regions: &[u32],
-        bias: f64,
-    ) -> Self {
-        assert!((0.0..=1.0).contains(&bias), "bias must be in [0, 1]");
-        let mut stream = Self::new(start, cfg, seed);
-        let count = regions.iter().copied().max().map_or(1, |m| m as usize + 1);
-        let mut bags = vec![IndexedBag::with_capacity(start.capacity()); count];
-        let mut of = vec![0u32; start.capacity()];
-        for v in start.vertices() {
-            let r = regions[v as usize];
-            of[v as usize] = r;
-            bags[r as usize].insert(v);
-        }
-        stream.regions = Some(Regions { of, bags, bias });
-        stream
     }
 
     /// Shadow view of the graph state after all emitted updates.
@@ -198,21 +158,6 @@ impl UpdateStream {
         Some(self.alive.as_slice()[i])
     }
 
-    /// A random live member of `u`'s region (possibly `u` itself), or
-    /// `None` when the stream is unbiased or the local roll fails.
-    fn random_local_to(&mut self, u: u32) -> Option<u32> {
-        let reg = self.regions.as_ref()?;
-        if !self.rng.gen_bool(reg.bias) {
-            return None;
-        }
-        let bag = &reg.bags[reg.of[u as usize] as usize];
-        if bag.is_empty() {
-            return None;
-        }
-        let i = self.rng.gen_range(0..bag.len());
-        Some(bag.as_slice()[i])
-    }
-
     fn try_edge_insert(&mut self) -> Option<Update> {
         let n = self.alive.len();
         if n < 2 {
@@ -220,10 +165,7 @@ impl UpdateStream {
         }
         for _ in 0..64 {
             let u = self.random_alive()?;
-            let v = match self.random_local_to(u) {
-                Some(w) => w,
-                None => self.random_alive()?,
-            };
+            let v = self.random_alive()?;
             if u != v && !self.shadow.has_edge(u, v) {
                 self.shadow.insert_edge(u, v).unwrap();
                 self.record_edge(u, v);
@@ -246,38 +188,12 @@ impl UpdateStream {
 
     fn try_vertex_insert(&mut self) -> Option<Update> {
         let want = self.new_vertex_degree.min(self.alive.len());
-        // The fresh vertex's home: the region of a uniformly sampled
-        // live vertex, which its biased neighbor draws then stay in.
-        // Unbiased streams must not touch the RNG here — their seeded
-        // update sequences are pinned by downstream tests.
-        let home = if self.regions.is_some() {
-            self.random_alive()
-                .map(|seed_v| self.regions.as_ref().map(|r| r.of[seed_v as usize]))
-                .unwrap_or_default()
-        } else {
-            None
-        };
         let mut neighbors = Vec::with_capacity(want);
         for _ in 0..64 * want.max(1) {
             if neighbors.len() == want {
                 break;
             }
-            let drawn = match home {
-                Some(r) => {
-                    // Arbitrary member of the home region as the bias
-                    // anchor (regions are uniform within themselves).
-                    let anchor = self.regions.as_ref().unwrap().bags[r as usize]
-                        .as_slice()
-                        .first()
-                        .copied();
-                    match anchor.and_then(|a| self.random_local_to(a)) {
-                        Some(w) => Some(w),
-                        None => self.random_alive(),
-                    }
-                }
-                None => self.random_alive(),
-            };
-            if let Some(u) = drawn {
+            if let Some(u) = self.random_alive() {
                 if !neighbors.contains(&u) {
                     neighbors.push(u);
                 }
@@ -287,14 +203,6 @@ impl UpdateStream {
         }
         let id = self.shadow.add_vertex();
         self.alive.insert(id);
-        if let Some(reg) = self.regions.as_mut() {
-            let r = home.unwrap_or(0);
-            if reg.of.len() <= id as usize {
-                reg.of.resize(id as usize + 1, 0);
-            }
-            reg.of[id as usize] = r;
-            reg.bags[r as usize].insert(id);
-        }
         for &u in &neighbors {
             self.shadow.insert_edge(id, u).unwrap();
             self.record_edge(id, u);
@@ -312,9 +220,6 @@ impl UpdateStream {
             self.erase_edge(v, u);
         }
         self.alive.remove(v);
-        if let Some(reg) = self.regions.as_mut() {
-            reg.bags[reg.of[v as usize] as usize].remove(v);
-        }
         Some(Update::RemoveVertex(v))
     }
 
@@ -462,48 +367,6 @@ mod tests {
             apply_update(&mut replay, u).unwrap();
         }
         replay.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn region_bias_keeps_edge_traffic_local() {
-        let g = crate::structured::planted_communities(10, 40, 6, 30, 5);
-        let regions: Vec<u32> = (0..g.capacity() as u32).map(|v| v / 40).collect();
-        // Pure edge workload: vertex churn would reuse ids under fresh
-        // home regions and make this test's static id → region map lie.
-        let mut s = UpdateStream::with_regions(&g, StreamConfig::edges_only(), 21, &regions, 0.9);
-        let ups = s.take_updates(4000);
-        let (mut local, mut cross) = (0usize, 0usize);
-        for u in &ups {
-            if let Update::InsertEdge(a, b) = u {
-                if regions[*a as usize] == regions[*b as usize] {
-                    local += 1;
-                } else {
-                    cross += 1;
-                }
-            }
-        }
-        // Uniform sampling would land intra-region ~10% of the time;
-        // bias 0.9 must push well past half.
-        assert!(
-            local > 4 * cross,
-            "bias failed: {local} local vs {cross} cross inserts"
-        );
-        let mut replay = g;
-        for u in &ups {
-            apply_update(&mut replay, u).unwrap();
-        }
-        replay.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn region_streams_are_seed_deterministic() {
-        let g = crate::structured::planted_communities(4, 25, 5, 10, 7);
-        let regions: Vec<u32> = (0..g.capacity() as u32).map(|v| v / 25).collect();
-        let a = UpdateStream::with_regions(&g, StreamConfig::default(), 13, &regions, 0.8)
-            .take_updates(500);
-        let b = UpdateStream::with_regions(&g, StreamConfig::default(), 13, &regions, 0.8)
-            .take_updates(500);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,19 +1,12 @@
 //! Deterministic structured graphs, including the worst-case families of
-//! Theorem 3 and planted-community graphs for partition-quality tests.
+//! Theorem 3.
 //!
 //! The paper proves that for every `k ≥ 2` there are infinite graph
 //! families where a k-maximal independent set is only `2/Δ` of optimal:
 //! subdivide every edge of `K_n` (for `k ∈ {2,3}`) or of the hypercube
 //! `Q_n` (for `k ≥ 4`). [`subdivide`] performs that construction.
-//!
-//! [`planted_communities`] builds the opposite of a random worst case: a
-//! graph whose edges overwhelmingly stay inside known communities, the
-//! regime where a locality-aware shard partition beats degree balance.
 
-use crate::rng;
-use dynamis_graph::hash::{pair_key, FxHashSet};
 use dynamis_graph::DynamicGraph;
-use rand::Rng;
 
 /// The complete graph `K_n`.
 pub fn complete(n: usize) -> DynamicGraph {
@@ -82,69 +75,6 @@ pub fn subdivide(g: &DynamicGraph) -> DynamicGraph {
         out.insert_edge(w, v).unwrap();
     }
     out
-}
-
-/// A planted-community graph: `communities` blocks of `size` vertices
-/// each (vertex `v` belongs to block `v / size`). Inside each block a
-/// Hamiltonian ring guarantees connectivity and random chords raise the
-/// mean intra-block degree to ≈ `intra_degree`; `inter_edges` random
-/// block-crossing edges are planted on top. Deterministic in the
-/// arguments (seeded [`rng`]); duplicate picks are skipped, so edge
-/// counts are approximate.
-///
-/// The planted blocks are exactly the structure a locality-aware
-/// [`ShardMap`](dynamis_graph::ShardMap) can exploit: with
-/// `inter_edges ≪ m` a P-way partition along blocks cuts a tiny share
-/// of edges where degree-greedy cuts ~`1 − 1/P`.
-pub fn planted_communities(
-    communities: usize,
-    size: usize,
-    intra_degree: usize,
-    inter_edges: usize,
-    seed: u64,
-) -> DynamicGraph {
-    assert!(size >= 3, "a community ring needs at least 3 vertices");
-    let n = communities * size;
-    let mut rng = rng(seed);
-    let mut edges = Vec::new();
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
-    let push = |seen: &mut FxHashSet<u64>, edges: &mut Vec<(u32, u32)>, u: u32, v: u32| {
-        if u != v && seen.insert(pair_key(u, v)) {
-            edges.push((u, v));
-        }
-    };
-    for c in 0..communities {
-        let base = (c * size) as u32;
-        for i in 0..size as u32 {
-            push(
-                &mut seen,
-                &mut edges,
-                base + i,
-                base + (i + 1) % size as u32,
-            );
-        }
-        // Ring gives degree 2; each further chord adds 2/size to the
-        // mean block degree.
-        let chords = size * intra_degree.saturating_sub(2) / 2;
-        for _ in 0..chords {
-            let u = base + rng.gen_range(0..size as u32);
-            let v = base + rng.gen_range(0..size as u32);
-            push(&mut seen, &mut edges, u, v);
-        }
-    }
-    if communities > 1 {
-        for _ in 0..inter_edges {
-            let cu = rng.gen_range(0..communities as u32);
-            let cv = rng.gen_range(0..communities as u32);
-            if cu == cv {
-                continue;
-            }
-            let u = cu * size as u32 + rng.gen_range(0..size as u32);
-            let v = cv * size as u32 + rng.gen_range(0..size as u32);
-            push(&mut seen, &mut edges, u, v);
-        }
-    }
-    DynamicGraph::from_edges(n, &edges)
 }
 
 /// The paper's `K'_n` worst-case family (Fig. 3a): subdivided complete
@@ -221,36 +151,6 @@ mod tests {
                 assert!(!g.has_edge(u, v));
             }
         }
-    }
-
-    #[test]
-    fn planted_communities_have_sparse_cuts() {
-        let (c, size) = (8, 40);
-        let g = planted_communities(c, size, 8, 60, 7);
-        assert_eq!(g.num_vertices(), c * size);
-        // Connectivity inside each block: the ring edges are always there.
-        for ci in 0..c as u32 {
-            let base = ci * size as u32;
-            assert!(g.has_edge(base, base + 1));
-            assert!(g.has_edge(base, base + size as u32 - 1));
-        }
-        // Crossing edges are a small minority of the graph.
-        let crossing = g
-            .edges()
-            .filter(|&(u, v)| u as usize / size != v as usize / size)
-            .count();
-        assert!(crossing > 0 && crossing <= 60);
-        assert!(
-            (crossing as f64) < 0.1 * g.num_edges() as f64,
-            "{crossing} of {} edges cross blocks",
-            g.num_edges()
-        );
-        // Deterministic in the seed, sensitive to it.
-        let same = planted_communities(c, size, 8, 60, 7);
-        assert_eq!(same.num_edges(), g.num_edges());
-        assert!(g.edges().all(|(u, v)| same.has_edge(u, v)));
-        let other = planted_communities(c, size, 8, 60, 8);
-        assert!(g.edges().any(|(u, v)| !other.has_edge(u, v)));
     }
 
     #[test]

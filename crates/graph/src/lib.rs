@@ -28,9 +28,6 @@
 //! * [`algo`] — linear-time classics used by the dataset statistics and
 //!   the static solvers: BFS/components, k-core decomposition, triangle
 //!   counting, degree summaries.
-//! * [`ShardMap`] — a stable vertex → shard ownership map (degree-aware
-//!   for the initial graph, round-robin for fresh vertices) used by the
-//!   partitioned maintenance layer in `dynamis-shard`.
 //!
 //! The terminology follows the paper: for a graph `G_t = (V_t, E_t)` we
 //! write `N_t(v)` for the open neighborhood and `d_t(v)` for the degree.
@@ -42,16 +39,12 @@ pub mod dynamic;
 pub mod error;
 pub mod hash;
 pub mod io;
-pub mod partition;
-pub mod shardmap;
 pub mod update;
 
 pub use csr::CsrGraph;
 pub use dynamic::{DynamicGraph, EdgeHandle, VertexId};
 pub use error::GraphError;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use partition::Partitioner;
-pub use shardmap::ShardMap;
 pub use update::{apply_update, Update};
 
 /// Convenience result alias for fallible graph operations.

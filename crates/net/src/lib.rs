@@ -1,7 +1,6 @@
 //! Network front end for the dynamic-MIS serving stack: a
 //! length-prefixed binary wire protocol over TCP exposing the serve
-//! layer's single-writer service (and the sharded engine behind it) to
-//! remote clients.
+//! layer's single-writer service to remote clients.
 //!
 //! The crate is std-only and splits into:
 //!

@@ -142,9 +142,7 @@ impl Default for NetConfig {
 
 /// What the server fronts: the ingest path, the broadcast log, and a
 /// reader prototype — the same three capabilities an in-process caller
-/// holds. Build one with [`NetBackend::single`] for a [`MisService`],
-/// or assemble the parts yourself for a sharded service (its merged
-/// log and ingest pump have identical shapes).
+/// holds. Build one with [`NetBackend::single`] for a [`MisService`].
 ///
 /// [`MisService`]: dynamis_serve::MisService
 pub struct NetBackend {

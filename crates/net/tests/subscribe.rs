@@ -1,8 +1,7 @@
 //! Subscription-stream tests: the pinned exactly-once, in-order
 //! guarantee across a forced mid-stream reconnect; remote-mirror ≡
-//! local-reader equivalence; checkpoint fallback when the resume point
-//! has aged out of the log window; and the sharded backend streaming
-//! from its merged log.
+//! local-reader equivalence; and checkpoint fallback when the resume
+//! point has aged out of the log window.
 
 use dynamis_core::EngineBuilder;
 use dynamis_gen::powerlaw::chung_lu;
@@ -11,7 +10,6 @@ use dynamis_net::{
     NetBackend, NetClient, NetConfig, NetError, NetServer, RemoteMirror, SubEvent, Subscription,
 };
 use dynamis_serve::{MisService, ServeConfig};
-use dynamis_shard::ShardedService;
 use std::time::{Duration, Instant};
 
 /// Applies events until the mirror reaches `target`, recording every
@@ -185,46 +183,6 @@ fn stale_resume_point_falls_back_to_a_checkpoint() {
     assert!(checkpoints >= 1, "stale resume must reseed via checkpoint");
     let (snap_seq, snap) = writer.snapshot().unwrap();
     assert_eq!((mirror.seq(), mirror.solution()), (snap_seq, snap));
-
-    handle.shutdown();
-    service.shutdown();
-}
-
-/// The sharded backend streams from its one merged log: a remote mirror
-/// converges to the sharded service's own snapshot.
-#[test]
-fn sharded_backend_streams_from_the_merged_log() {
-    let g = chung_lu(600, 2.4, 6.0, 11);
-    let ups = UpdateStream::new(&g, StreamConfig::default(), 29).take_updates(300);
-    let (service, _reader) =
-        ShardedService::spawn(EngineBuilder::on(g).k(2).shards(2), ServeConfig::default()).unwrap();
-    let backend = NetBackend {
-        ingest: service.ingest(),
-        log: service.log(),
-        reader: service.merged_reader(),
-    };
-    let handle = NetServer::bind("127.0.0.1:0", backend, NetConfig::default()).unwrap();
-    let addr = handle.local_addr().to_string();
-
-    let sub = NetClient::connect(&addr).unwrap().subscribe(0).unwrap();
-    sub.set_read_timeout(Some(Duration::from_millis(10)))
-        .unwrap();
-    let mut sub = sub;
-    let mut writer = NetClient::connect(&addr).unwrap();
-    for u in ups {
-        match writer.apply(u) {
-            Ok(_) | Err(NetError::Rejected(_)) => {}
-            Err(e) => panic!("transport failure: {e}"),
-        }
-    }
-    let head = drained_head(&mut writer);
-    let mut mirror = RemoteMirror::new();
-    let mut seen = Vec::new();
-    drain_to(&mut sub, &mut mirror, &mut seen, head);
-
-    let (snap_seq, snap) = writer.snapshot().unwrap();
-    assert_eq!(snap_seq, head);
-    assert_eq!(mirror.solution(), snap);
 
     handle.shutdown();
     service.shutdown();

@@ -1,8 +1,7 @@
 //! Unified telemetry for the dynamis serving stack.
 //!
 //! Every layer of the system — the core engine, the single-writer
-//! service, the sharded coordinator, and the network front end —
-//! records into one process-global [`MetricsRegistry`] of cheap atomic
+//! service, the durable WAL, and the network front end — records into one process-global [`MetricsRegistry`] of cheap atomic
 //! [`Counter`]s, [`Gauge`]s, and log-bucketed [`Histogram`]s. Recording
 //! is lock-free (one or a few relaxed atomic RMWs) and never blocks the
 //! hot path; registration (name → handle) takes a mutex but happens

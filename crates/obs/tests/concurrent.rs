@@ -1,6 +1,7 @@
 //! Concurrent-recording property tests: a histogram hammered from many
-//! threads loses no updates, and per-thread (shard-cell style)
-//! snapshots merge to exactly the union — saturating, never wrapping.
+//! threads loses no updates, and per-thread snapshots (one histogram
+//! per worker thread) merge to exactly the union — saturating, never
+//! wrapping.
 //! Same class of bug the PR7 wire fuzzer existed to catch, now pinned
 //! at the metrics layer.
 
@@ -57,7 +58,7 @@ proptest! {
         );
     }
 
-    /// N threads record into their OWN histograms (the shard-cell
+    /// N threads record into their OWN histograms (the per-worker
     /// shape); merging the per-thread snapshots equals one histogram
     /// that saw every value.
     #[test]

@@ -70,7 +70,6 @@
 
 mod error;
 mod log;
-mod multi;
 mod reader;
 mod service;
 mod stats;
@@ -78,7 +77,6 @@ pub mod wire;
 
 pub use error::ServeError;
 pub use log::{LogTail, PublishWake, SeqEntry, SharedLog};
-pub use multi::ShardedReader;
 pub use reader::ReaderHandle;
 pub use service::{
     BatchTicket, IngestHandle, MisService, ServeConfig, ServiceHandle, ServiceReport, Ticket,

@@ -81,9 +81,7 @@ pub(crate) struct CatchUp {
 ///
 /// This is the transport between one delta producer and any number of
 /// mirror-holding consumers. [`crate::MisService`] owns one for the
-/// whole engine; the sharded layer (`dynamis-shard`) gives each shard
-/// its own, published from that shard's writer thread, and merges them
-/// behind a [`crate::ShardedReader`].
+/// whole engine and publishes to it from its writer thread.
 #[derive(Debug)]
 pub struct SharedLog {
     inner: Mutex<LogInner>,
@@ -112,9 +110,6 @@ impl SharedLog {
     /// Appends one delta as the next sequence number and folds the
     /// overflow into the checkpoint, then unparks every thread
     /// registered with [`SharedLog::wake_on_publish`]. Writer-side only.
-    /// Empty deltas are legal entries: multi-log producers publish one
-    /// per epoch on every log so consumers can align heads into a
-    /// consistent cut.
     pub fn publish(&self, delta: SolutionDelta) -> u64 {
         let seq = {
             let mut g = self.inner.lock().unwrap();
@@ -269,28 +264,11 @@ impl SharedLog {
     pub(crate) fn catch_up(
         &self,
         mirror: &mut SolutionMirror,
-        seq: u64,
-        scratch: &mut Vec<Arc<SeqEntry>>,
-    ) -> CatchUp {
-        self.catch_up_to(mirror, seq, u64::MAX, scratch)
-    }
-
-    /// Like [`SharedLog::catch_up`] but stops at `target` instead of the
-    /// head. Multi-log consumers use it to advance every per-shard
-    /// mirror to the same epoch — the consistent cut — even while some
-    /// logs have already published past it. A `target` at or below the
-    /// checkpoint still resyncs (the checkpoint is the oldest state the
-    /// log can serve), so the reported `seq` may exceed `target` after a
-    /// fall-behind.
-    pub(crate) fn catch_up_to(
-        &self,
-        mirror: &mut SolutionMirror,
         mut seq: u64,
-        target: u64,
         scratch: &mut Vec<Arc<SeqEntry>>,
     ) -> CatchUp {
         let mut out = CatchUp::default();
-        if self.head.load(Ordering::Acquire).min(target) <= seq {
+        if self.head.load(Ordering::Acquire) <= seq {
             out.seq = seq;
             return out;
         }
@@ -300,7 +278,7 @@ impl SharedLog {
             scratch.clear();
             {
                 let g = self.inner.lock().unwrap();
-                if seq >= g.head.min(target) && attempt == 0 {
+                if seq >= g.head && attempt == 0 {
                     out.seq = seq;
                     return out;
                 }
@@ -310,13 +288,7 @@ impl SharedLog {
                     out.resynced = true;
                 }
                 let skip = (seq - g.base_seq) as usize;
-                scratch.extend(
-                    g.entries
-                        .iter()
-                        .skip(skip)
-                        .take_while(|e| e.seq <= target)
-                        .cloned(),
-                );
+                scratch.extend(g.entries.iter().skip(skip).cloned());
             }
             let mut failed = false;
             for e in scratch.iter() {

@@ -21,8 +21,8 @@
 
 use dynamis::baselines::{DgDis, Restart, RestartSolver};
 use dynamis::durable::{
-    prepare as durable_prepare, scan as durable_scan, DurableOptions, FileStorage, SyncPolicy,
-    WalStorage,
+    prepare as durable_prepare, replay_tail, scan as durable_scan, DurableOptions, FileStorage,
+    SyncPolicy, WalStorage,
 };
 use dynamis::gen::trace::{read_trace_path, write_trace_path};
 use dynamis::gen::{datasets, StreamConfig, UpdateStream, Workload};
@@ -36,8 +36,8 @@ use dynamis::statics::{
     arw_local_search, greedy_mis, luby_mis, reducing_peeling, solve_exact, ArwConfig, ExactConfig,
 };
 use dynamis::{
-    DyArw, DyOneSwap, DyTwoSwap, DynamicGraph, DynamicMis, EngineBuilder, EngineError,
-    GenericKSwap, MaximalOnly, MisService, Partitioner, ServeConfig, ShardedService, Update,
+    DyArw, DyOneSwap, DyTwoSwap, DynamicGraph, DynamicMis, EngineBuilder, GenericKSwap,
+    MaximalOnly, MisService, ServeConfig,
 };
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
@@ -68,10 +68,8 @@ const USAGE: &str = "usage:
   dynamis replay <trace> [--algo ALGO]
   dynamis serve-bench (--dataset NAME | --graph FILE) [--updates N] [--seed S]
                       [--k K] [--readers R] [--burst B] [--stream mixed|adversarial]
-                      [--shards P] [--partitioner greedy|locality]
                       [--metrics true]
   dynamis net-serve (--dataset NAME | --graph FILE) [--k K] [--burst B]
-                    [--shards P] [--partitioner greedy|locality]
                     [--addr HOST:PORT] [--max-sessions N]
                     [--shed-high H] [--shed-low L] [--metrics true]
                     [--data-dir DIR] [--wal-sync batch|always|never]
@@ -91,11 +89,6 @@ round-trip percentiles, throughput, and delta-stream integrity
 `metrics` fetches the registry snapshot over the wire — human-readable by
 default, --json/--prom for machine output, --require fails unless every
 named series exists and is non-zero (for CI smoke checks)
---shards P > 1 serves the canonical sharded engine (P writer threads,
-merged per-shard readers) instead of the single-writer service;
---partitioner picks how the vertex space splits across those shards
-(degree-greedy balance, or the locality-aware partition that shrinks the
-cut — and the coordination cost — on community-structured graphs)
 --data-dir makes net-serve durable: accepted updates go to a checksummed
 write-ahead log under DIR with periodic snapshot checkpoints, and a
 restart recovers the pre-crash state (prints `RECOVERED seq=N replayed=M`
@@ -431,7 +424,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
     let (mut dataset, mut graph, mut updates, mut seed, mut k, mut readers, mut burst) =
         (None, None, None, None, None, None, None);
-    let (mut stream, mut shards, mut partitioner, mut metrics) = (None, None, None, None);
+    let (mut stream, mut metrics) = (None, None);
     let positional = parse_flags(
         args,
         &mut [
@@ -443,8 +436,6 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
             ("readers", &mut readers),
             ("burst", &mut burst),
             ("stream", &mut stream),
-            ("shards", &mut shards),
-            ("partitioner", &mut partitioner),
             ("metrics", &mut metrics),
         ],
     )?;
@@ -469,10 +460,6 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
     let k = parse(k.as_deref(), 2, "k")?;
     let readers = parse(readers.as_deref(), 3, "readers")?;
     let burst = parse(burst.as_deref(), 256, "burst")?;
-    let shards = parse(shards.as_deref(), 1, "shards")?;
-    let partitioner: Partitioner = partitioner
-        .as_deref()
-        .map_or(Ok(Partitioner::default()), str::parse)?;
     let ups = match stream.as_deref().unwrap_or("mixed") {
         "mixed" => UpdateStream::new(&g, StreamConfig::default(), seed).take_updates(count),
         "adversarial" => {
@@ -481,89 +468,43 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
         }
         other => return Err(format!("unknown --stream `{other}`")),
     };
-    let builder = EngineBuilder::on(g)
-        .k(k)
-        .shards(shards)
-        .partitioner(partitioner);
     let cfg = ServeConfig {
         burst,
         ..ServeConfig::default()
     };
     let stop = Arc::new(AtomicBool::new(false));
 
-    // Query-thread harness shared by both service flavors: `mk` hands
-    // each thread an owned reader, `probe` runs one point query.
-    fn spawn_queriers<R: Send + 'static>(
-        readers: usize,
-        cap: u32,
-        stop: &Arc<AtomicBool>,
-        mk: impl Fn() -> R,
-        probe: impl Fn(&mut R, u32) -> bool + Send + Copy + 'static,
-    ) -> Vec<thread::JoinHandle<u64>> {
-        (0..readers)
-            .map(|i| {
-                let mut r = mk();
-                let stop = Arc::clone(stop);
-                thread::spawn(move || {
-                    let (mut queries, mut v) = (0u64, i as u32);
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        let _ = probe(&mut r, v % cap);
-                        v = v.wrapping_mul(2_654_435_761).wrapping_add(1);
-                        queries += 1;
-                    }
-                    queries
-                })
-            })
-            .collect()
-    }
-
     let t = Instant::now();
-    let (report, query_threads) = if shards > 1 {
-        let (service, mut reader) =
-            ShardedService::spawn(builder, cfg).map_err(|e| format!("spawning service: {e}"))?;
-        let cap = reader.len() as u32 * 4 + 64;
-        let threads = spawn_queriers(
-            readers,
-            cap,
-            &stop,
-            || service.reader(),
-            |r, v| r.contains(v),
-        );
-        for u in ups {
-            service
-                .submit_detached(u)
-                .map_err(|e| format!("submit: {e}"))?;
-        }
-        (service.shutdown(), threads)
-    } else {
-        let (service, mut reader) =
-            MisService::spawn(builder, cfg).map_err(|e| format!("spawning service: {e}"))?;
-        let cap = reader.len() as u32 * 4 + 64;
-        let threads = spawn_queriers(
-            readers,
-            cap,
-            &stop,
-            || service.reader(),
-            |r, v| r.contains(v),
-        );
-        for u in ups {
-            service
-                .submit_detached(u)
-                .map_err(|e| format!("submit: {e}"))?;
-        }
-        (service.shutdown(), threads)
-    };
+    let (service, mut reader) = MisService::spawn(EngineBuilder::on(g).k(k), cfg)
+        .map_err(|e| format!("spawning service: {e}"))?;
+    let cap = reader.len() as u32 * 4 + 64;
+    let query_threads: Vec<thread::JoinHandle<u64>> = (0..readers)
+        .map(|i| {
+            let mut r = service.reader();
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                let (mut queries, mut v) = (0u64, i as u32);
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let _ = r.contains(v % cap);
+                    v = v.wrapping_mul(2_654_435_761).wrapping_add(1);
+                    queries += 1;
+                }
+                queries
+            })
+        })
+        .collect();
+    for u in ups {
+        service
+            .submit_detached(u)
+            .map_err(|e| format!("submit: {e}"))?;
+    }
+    let report = service.shutdown();
     let elapsed = t.elapsed();
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let queries: u64 = query_threads.into_iter().map(|h| h.join().unwrap()).sum();
 
-    let layout = if shards > 1 {
-        format!("{shards} shards, {partitioner} partition")
-    } else {
-        "1 shard".to_string()
-    };
     println!(
-        "{} behind serving layer ({layout}): {} updates in {:.2?} ({:.0} updates/s)",
+        "{} behind serving layer: {} updates in {:.2?} ({:.0} updates/s)",
         report.engine,
         report.stats.applied,
         elapsed,
@@ -582,8 +523,7 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_net_serve(args: &[String]) -> Result<(), String> {
-    let (mut dataset, mut graph, mut k, mut burst, mut shards, mut partitioner) =
-        (None, None, None, None, None, None);
+    let (mut dataset, mut graph, mut k, mut burst) = (None, None, None, None);
     let (mut addr, mut max_sessions, mut shed_high, mut shed_low, mut metrics) =
         (None, None, None, None, None);
     let (mut data_dir, mut wal_sync, mut checkpoint_every, mut hubs) = (None, None, None, None);
@@ -594,8 +534,6 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
             ("graph", &mut graph),
             ("k", &mut k),
             ("burst", &mut burst),
-            ("shards", &mut shards),
-            ("partitioner", &mut partitioner),
             ("addr", &mut addr),
             ("max-sessions", &mut max_sessions),
             ("shed-high", &mut shed_high),
@@ -621,10 +559,6 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
     };
     let k = parse(k.as_deref(), 2, "k")?;
     let burst = parse(burst.as_deref(), 256, "burst")?;
-    let shards = parse(shards.as_deref(), 1, "shards")?;
-    let partitioner: Partitioner = partitioner
-        .as_deref()
-        .map_or(Ok(Partitioner::default()), str::parse)?;
     let addr = addr.unwrap_or_else(|| "127.0.0.1:0".into());
     let mut net_cfg = NetConfig::default();
     net_cfg.max_sessions = parse(
@@ -653,7 +587,6 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
             };
             let defaults = DurableOptions::default();
             let opts = DurableOptions {
-                streams: shards as u32,
                 sync,
                 checkpoint_every: parse(
                     checkpoint_every.as_deref(),
@@ -672,10 +605,7 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
         None => None,
     };
 
-    let mut builder = EngineBuilder::on(g)
-        .k(k)
-        .shards(shards)
-        .partitioner(partitioner);
+    let mut builder = EngineBuilder::on(g).k(k);
     let cfg = ServeConfig {
         burst,
         first_seq: prepared.as_ref().map_or(0, |p| p.first_broadcast_seq()),
@@ -687,66 +617,49 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
         builder = p.resume_builder(builder);
     }
 
-    // Spawn the service, front it, announce readiness, then block until
-    // stdin closes — the conventional child-process lifecycle: the
-    // parent reads the LISTENING line and later closes our stdin.
-    let serve_until_eof = |backend: NetBackend| -> Result<(), String> {
-        let handle =
-            NetServer::bind(&addr, backend, net_cfg).map_err(|e| format!("binding {addr}: {e}"))?;
-        println!("LISTENING {}", handle.local_addr());
-        use std::io::{BufRead, Write};
-        std::io::stdout().flush().ok();
-        let stdin = std::io::stdin();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match stdin.lock().read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-        let stats = handle.stats();
-        handle.shutdown();
-        eprintln!("net-serve: {stats}");
-        Ok(())
-    };
     // In durable mode the built engine is wrapped in the WAL layer
     // inside the writer thread (engines are not Send).
-    let wrap = move |engine: Box<dyn DynamicMis>| -> Result<Box<dyn DynamicMis>, EngineError> {
-        match prepared {
-            Some(p) => p.attach(engine).map(|l| Box::new(l) as _).map_err(|e| {
-                eprintln!("net-serve: durable attach failed: {e}");
-                e.into_engine_error()
-            }),
-            None => Ok(engine),
+    let (service, _reader) = MisService::spawn_with(
+        move || {
+            let engine = builder.build()?;
+            match prepared {
+                Some(p) => p.attach(engine).map(|l| Box::new(l) as _).map_err(|e| {
+                    eprintln!("net-serve: durable attach failed: {e}");
+                    e.into_engine_error()
+                }),
+                None => Ok(engine),
+            }
+        },
+        cfg,
+    )
+    .map_err(|e| format!("spawning service: {e}"))?;
+
+    // Front the service, announce readiness, then block until stdin
+    // closes — the conventional child-process lifecycle: the parent
+    // reads the LISTENING line and later closes our stdin.
+    let handle = NetServer::bind(&addr, NetBackend::single(&service), net_cfg)
+        .map_err(|e| format!("binding {addr}: {e}"))?;
+    println!("LISTENING {}", handle.local_addr());
+    use std::io::{BufRead, Write};
+    std::io::stdout().flush().ok();
+    let stdin = std::io::stdin();
+    let mut line = String::new();
+    loop {
+        line.clear();
+        match stdin.lock().read_line(&mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-    };
-    if shards > 1 {
-        let (service, _reader) = ShardedService::spawn_wrapped(builder, cfg, wrap)
-            .map_err(|e| format!("spawning service: {e}"))?;
-        serve_until_eof(NetBackend {
-            ingest: service.ingest(),
-            log: service.log(),
-            reader: service.merged_reader(),
-        })?;
-        let report = service.shutdown();
-        eprintln!(
-            "net-serve: served {} on {} shards, final |I| = {}",
-            report.engine,
-            shards,
-            report.solution.len()
-        );
-    } else {
-        let (service, _reader) = MisService::spawn_with(move || wrap(builder.build()?), cfg)
-            .map_err(|e| format!("spawning service: {e}"))?;
-        serve_until_eof(NetBackend::single(&service))?;
-        let report = service.shutdown();
-        eprintln!(
-            "net-serve: served {}, final |I| = {}",
-            report.engine,
-            report.solution.len()
-        );
     }
+    let stats = handle.stats();
+    handle.shutdown();
+    eprintln!("net-serve: {stats}");
+    let report = service.shutdown();
+    eprintln!(
+        "net-serve: served {}, final |I| = {}",
+        report.engine,
+        report.solution.len()
+    );
     Ok(())
 }
 
@@ -762,26 +675,14 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
     let dir = data_dir.ok_or("recover needs --data-dir")?;
     let storage: Arc<dyn WalStorage> =
         Arc::new(FileStorage::open(&dir).map_err(|e| format!("opening {dir}: {e}"))?);
-    let replay_in_memory = |snapshot, tail: &[Update], k: u32| -> Result<usize, String> {
-        let mut engine = EngineBuilder::on(DynamicGraph::from_edges(0, &[]))
-            .k(k as usize)
-            .resume(snapshot)
-            .build()
-            .map_err(|e| format!("rebuilding engine: {e}"))?;
-        engine
-            .try_apply_batch(tail)
-            .map_err(|e| format!("replaying WAL tail: {e}"))?;
-        Ok(engine.size())
-    };
     match mode.as_deref().unwrap_or("verify") {
         "verify" => {
             // Read-only: scan, report, prove the tail replays — but
             // leave the directory byte-for-byte untouched.
-            let report = durable_scan(&*storage, None, None).map_err(|e| format!("{dir}: {e}"))?;
+            let report = durable_scan(&*storage, None).map_err(|e| format!("{dir}: {e}"))?;
             println!(
-                "recover: k={} streams={} checkpoint seq={} recovered seq={} (replaying {})",
+                "recover: k={} checkpoint seq={} recovered seq={} (replaying {})",
                 report.manifest.k,
-                report.manifest.streams,
                 report.checkpoint_seq,
                 report.recovered_seq,
                 report.tail.len(),
@@ -803,8 +704,16 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
                     }
                 }
             }
-            let size = replay_in_memory(report.snapshot, &report.tail, report.manifest.k)?;
-            println!("recover: verified, final |I| = {size}");
+            // The same per-update replay `attach` runs, so the reported
+            // state is the one a restart serves.
+            let mut engine = EngineBuilder::on(DynamicGraph::from_edges(0, &[]))
+                .k(report.manifest.k as usize)
+                .resume(report.snapshot)
+                .build()
+                .map_err(|e| format!("rebuilding engine: {e}"))?;
+            replay_tail(&mut *engine, report.checkpoint_seq, &report.tail)
+                .map_err(|e| format!("{dir}: {e}"))?;
+            println!("recover: verified, final |I| = {}", engine.size());
         }
         "replay" => {
             // Mutating: apply repairs, replay, and publish a fresh
@@ -815,7 +724,6 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
             let manifest = dynamis::durable::format::decode_manifest(&manifest_bytes)
                 .map_err(|e| format!("{dir}: {e}"))?;
             let opts = DurableOptions {
-                streams: manifest.streams,
                 sync: SyncPolicy::Always,
                 ..DurableOptions::default()
             };
@@ -1091,48 +999,6 @@ mod tests {
             "Email".to_string(),
             "--stream".to_string(),
             "bogus".to_string(),
-        ])
-        .is_err());
-    }
-
-    #[test]
-    fn serve_bench_runs_sharded() {
-        for partitioner in ["greedy", "locality"] {
-            dispatch(&[
-                "serve-bench".to_string(),
-                "--dataset".to_string(),
-                "Email".to_string(),
-                "--updates".to_string(),
-                "300".to_string(),
-                "--readers".to_string(),
-                "1".to_string(),
-                "--shards".to_string(),
-                "3".to_string(),
-                "--partitioner".to_string(),
-                partitioner.to_string(),
-            ])
-            .unwrap_or_else(|m| panic!("sharded serve-bench ({partitioner}): {m}"));
-        }
-        // An unknown partitioner is a CLI error, not a default.
-        assert!(dispatch(&[
-            "serve-bench".to_string(),
-            "--dataset".to_string(),
-            "Email".to_string(),
-            "--shards".to_string(),
-            "2".to_string(),
-            "--partitioner".to_string(),
-            "metis".to_string(),
-        ])
-        .is_err());
-        // k ≥ 3 has no sharded engine: the error must surface, not panic.
-        assert!(dispatch(&[
-            "serve-bench".to_string(),
-            "--dataset".to_string(),
-            "Email".to_string(),
-            "--k".to_string(),
-            "3".to_string(),
-            "--shards".to_string(),
-            "2".to_string(),
         ])
         .is_err());
     }

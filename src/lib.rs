@@ -18,8 +18,7 @@
 //! | [`gen`] | graph generators, update streams, PLB estimation, dataset registry |
 //! | [`problems`] | vertex cover, clique, coloring, and the intro's applications (map labeling, collusion detection, interval scheduling) |
 //! | [`serve`] | concurrent serving layer: single-writer engine thread, batched ingest, delta-broadcast readers |
-//! | [`shard`] | sharded parallel maintenance: degree-aware engine partitions, per-shard writer threads, two-phase boundary repair |
-//! | [`net`] | network front end: length-prefixed wire protocol, per-client sessions, delta subscriptions, admission control |
+//! //! | [`net`] | network front end: length-prefixed wire protocol, per-client sessions, delta subscriptions, admission control |
 //! | [`durable`] | crash durability: segmented checksummed WAL of the accepted stream, snapshot checkpoints, torn-tail recovery |
 //!
 //! ## Quickstart
@@ -63,7 +62,6 @@ pub use dynamis_net as net;
 pub use dynamis_obs as obs;
 pub use dynamis_problems as problems;
 pub use dynamis_serve as serve;
-pub use dynamis_shard as shard;
 pub use dynamis_static as statics;
 
 pub use dynamis_baselines::{DgDis, DyArw, MaximalOnly, Restart, RestartSolver};
@@ -72,8 +70,5 @@ pub use dynamis_core::{
     GenericKSwap, MirrorError, Snapshot, SolutionDelta, SolutionMirror,
 };
 pub use dynamis_gen::{StreamConfig, UpdateStream, Workload};
-pub use dynamis_graph::{CsrGraph, DynamicGraph, GraphError, Partitioner, ShardMap, Update};
-pub use dynamis_serve::{
-    MisService, ReaderHandle, ServeConfig, ServeError, ServiceStats, ShardedReader,
-};
-pub use dynamis_shard::{CanonicalMis, ShardedEngine, ShardedService};
+pub use dynamis_graph::{CsrGraph, DynamicGraph, GraphError, Update};
+pub use dynamis_serve::{MisService, ReaderHandle, ServeConfig, ServeError, ServiceStats};

@@ -240,3 +240,66 @@ fn recover_subcommand_verify_and_replay() {
     let server = start_server(&graph, &data);
     assert_eq!(server.recovered_line, "RECOVERED seq=12 replayed=0");
 }
+
+/// `recover --mode verify` reports the state a restart serves: it
+/// replays the WAL tail one update at a time, as `Prepared::attach`
+/// does. A batched replay may skip intermediate swap cascades and land
+/// on a different |I| for this tail (17 instead of 16).
+#[test]
+fn recover_verify_reports_the_state_attach_restores() {
+    use dynamis::durable::{prepare, DurableOptions, FileStorage, SyncPolicy, WalStorage};
+    use dynamis::gen::powerlaw::chung_lu;
+    use dynamis::{DynamicGraph, DynamicMis, EngineBuilder, StreamConfig, UpdateStream};
+    use std::sync::Arc;
+
+    let dir = temp_dir("verify_replay");
+    let (n, seed) = (30, 2);
+    let g = chung_lu(n, 2.4, 4.0, seed);
+    let tail = UpdateStream::new(&g, StreamConfig::default(), seed ^ 77).take_updates(n);
+    let open = || -> Arc<dyn WalStorage> { Arc::new(FileStorage::open(&dir).unwrap()) };
+    let opts = DurableOptions {
+        sync: SyncPolicy::Never,
+        ..DurableOptions::default()
+    };
+
+    // Served: the bootstrap checkpoint, then the whole tail in the WAL.
+    let mut prepared = prepare(open(), 2, opts).unwrap();
+    let builder = prepared.resume_builder(EngineBuilder::on(g).k(2));
+    let mut served = prepared.attach(builder.build().unwrap()).unwrap();
+    for u in &tail {
+        served.try_apply(u).unwrap();
+    }
+    let served_size = served.size();
+    drop(served);
+
+    let out = Command::new(env!("CARGO_BIN_EXE_dynamis"))
+        .args(["recover", "--data-dir", dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains(&format!("replaying {n}")),
+        "the tail must replay: {text}"
+    );
+    let verified: usize = text
+        .lines()
+        .find_map(|l| l.strip_prefix("recover: verified, final |I| = "))
+        .unwrap_or_else(|| panic!("verify output was: {text}"))
+        .parse()
+        .unwrap();
+
+    let mut prepared = prepare(open(), 2, opts).unwrap();
+    let builder = prepared.resume_builder(EngineBuilder::on(DynamicGraph::new()).k(2));
+    let restored = prepared.attach(builder.build().unwrap()).unwrap();
+    assert_eq!(
+        restored.size(),
+        served_size,
+        "attach restores the served state"
+    );
+    assert_eq!(
+        verified,
+        restored.size(),
+        "verify reports what attach restores"
+    );
+}

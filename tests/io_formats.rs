@@ -119,7 +119,7 @@ fn snap_whitespace_variants_parse_identically() {
 }
 
 /// End-to-end: a messy SNAP file on disk feeds straight into the graph
-/// the shard bench builds engines on.
+/// the `--graph FILE` flags build engines on.
 #[test]
 fn snap_file_ingests_into_a_dynamic_graph() {
     let dir = std::env::temp_dir().join(format!("dynamis_snap_ingest_{}", std::process::id()));
@@ -220,7 +220,7 @@ mod durable_formats {
     fn newer_version_snapshot_file_is_refused() {
         let storage = recorded();
         storage.corrupt(&only_checkpoint(&storage), CKPT_VERSION_OFFSET, 0x40);
-        match scan(&storage, None, None) {
+        match scan(&storage, None) {
             Err(DurableError::UnsupportedVersion { found, supported }) => {
                 assert!(found > supported);
             }
@@ -250,7 +250,7 @@ mod durable_formats {
     fn mismatched_k_snapshot_file_is_refused() {
         let storage = recorded();
         storage.corrupt(&only_checkpoint(&storage), CKPT_K_OFFSET, 0x04);
-        match scan(&storage, None, None) {
+        match scan(&storage, None) {
             Err(DurableError::KMismatch {
                 found: 6,
                 expected: 2,
