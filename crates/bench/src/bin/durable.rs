@@ -17,7 +17,8 @@
 //!
 //! The WAL-on engine writes real files through [`FileStorage`] under
 //! `SyncPolicy::Group` (the `net-serve` default: appends buffered in
-//! user space, fsyncs batched on an interval off the writer thread)
+//! user space, fsyncs batched on an interval off the combining
+//! submitter's thread)
 //! into a scratch directory recreated per pass; point
 //! `DYNAMIS_BENCH_DIR` at a tmpfs (e.g. `/dev/shm`) to measure codec +
 //! batching cost without rotational fsync latency dominating.

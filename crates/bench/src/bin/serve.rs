@@ -43,8 +43,8 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc;
 
-/// Reader threads for the mixed phase: leave room for the writer and
-/// the feeder, keep at least one.
+/// Reader threads for the mixed phase: leave room for the feeder, which
+/// applies its own updates, and one more thread; keep at least one.
 fn reader_count() -> usize {
     let cores = thread::available_parallelism().map_or(1, |n| n.get());
     cores.saturating_sub(2).clamp(1, 4)
@@ -78,16 +78,14 @@ fn run_serve(
     n: usize,
     readers: usize,
 ) -> RunReport {
-    let (service, mut reader0) = MisService::spawn(
-        EngineBuilder::on(base.clone()).k(2),
-        ServeConfig {
-            queue_updates: 1024,
-            burst: 256,
-            log_window: 1024,
-            first_seq: 0,
-        },
-    )
-    .expect("engine construction");
+    let cfg = ServeConfig {
+        queue_updates: 1024,
+        burst: 256,
+        log_window: 1024,
+        first_seq: 0,
+    };
+    let (service, mut reader0) =
+        MisService::spawn(EngineBuilder::on(base.clone()).k(2), cfg).expect("engine construction");
     let stop = Arc::new(AtomicBool::new(false));
     let reader_threads: Vec<_> = (0..readers)
         .map(|i| {
@@ -110,10 +108,14 @@ fn run_serve(
         .collect();
 
     let t = Instant::now();
-    for u in ups {
-        service.submit_detached(u.clone()).expect("service alive");
+    // A lone feeder never builds a queue, so each call is a round of
+    // its own: submit burst-sized chunks to keep the rounds full.
+    for chunk in ups.chunks(cfg.burst) {
+        service
+            .submit_batch_detached(chunk.to_vec())
+            .expect("service alive");
     }
-    let report = service.shutdown(); // flush
+    let report = service.shutdown();
     let run_secs = t.elapsed().as_secs_f64();
     stop.store(true, Ordering::Relaxed);
     let queries: u64 = reader_threads.into_iter().map(|h| h.join().unwrap()).sum();

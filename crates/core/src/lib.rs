@@ -108,7 +108,10 @@ use dynamis_graph::{DynamicGraph, Update};
 /// (the two paper engines, the generic-k engine, and the baselines in
 /// `dynamis-baselines`). Engines are constructed with an
 /// [`EngineBuilder`] and driven with fallible, delta-reporting updates.
-pub trait DynamicMis {
+///
+/// Engines are `Send`: a served engine runs on whichever submitting
+/// thread combines the current round (`dynamis_serve::MisService`).
+pub trait DynamicMis: Send {
     /// Algorithm name as printed in the paper's tables.
     fn name(&self) -> &'static str;
 

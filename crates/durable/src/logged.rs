@@ -2,12 +2,14 @@
 //! two-phase open protocol that recovers a directory before serving
 //! from it.
 //!
-//! The phases exist because serve engine factories run *inside* the
-//! writer thread, while the recovered sequence number must be known
-//! *before* the service spawns (it re-bases the broadcast log):
+//! The phases exist because the recovered sequence number must be
+//! known *before* the service spawns — it goes into the
+//! `ServeConfig::first_seq` that `MisService::spawn_with` takes, and
+//! re-bases the broadcast log — while the engine is built by the
+//! factory that same call runs:
 //!
-//! 1. [`prepare`] — on the caller thread: initialize or scan the
-//!    directory, apply repairs, and surface [`Prepared::recovered_seq`].
+//! 1. [`prepare`] — initialize or scan the directory, apply repairs,
+//!    and surface [`Prepared::recovered_seq`].
 //! 2. [`Prepared::resume_builder`] then [`Prepared::attach`] — inside
 //!    the engine factory: resume the engine from the recovered
 //!    snapshot, replay the WAL tail, and wrap the engine in [`Logged`].

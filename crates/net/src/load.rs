@@ -599,7 +599,8 @@ fn writer_thread(
             .collect();
         sent += take;
         // Retry the same batch through Busy sheds: admission control
-        // parks the client, never the writer thread inside the server.
+        // parks the client, never the combining submitter inside the
+        // server.
         loop {
             let t = Instant::now();
             match client.apply_batch(updates.clone()) {

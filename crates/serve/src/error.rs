@@ -6,8 +6,8 @@ use std::fmt;
 /// Why a submission (or a wait on its ticket) failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The service has shut down — its writer thread is gone, so the
-    /// update was never applied.
+    /// The service has stopped — its engine panicked in an earlier or
+    /// the current round — so the update was never applied.
     Stopped,
     /// The bounded ingest queue is full right now (returned by the
     /// non-blocking `try_submit` paths only; the blocking paths wait).

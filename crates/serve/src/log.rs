@@ -81,7 +81,7 @@ pub(crate) struct CatchUp {
 ///
 /// This is the transport between one delta producer and any number of
 /// mirror-holding consumers. [`crate::MisService`] owns one for the
-/// whole engine and publishes to it from its writer thread.
+/// whole engine; the combining submitter publishes to it once per round.
 #[derive(Debug)]
 pub struct SharedLog {
     inner: Mutex<LogInner>,

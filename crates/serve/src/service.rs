@@ -1,5 +1,6 @@
-//! The service: one writer thread owning the engine, an MPSC ingest
-//! queue with adaptive batching, and handles for submitting work.
+//! The service: one engine, written by flat combining — the submitter
+//! that finds the engine free runs the round on its own thread (see the
+//! crate docs).
 
 use crate::error::ServeError;
 use crate::log::SharedLog;
@@ -8,9 +9,12 @@ use crate::stats::{ServiceStats, StatsShared};
 use dynamis_core::{DynamicMis, EngineBuilder, EngineError};
 use dynamis_graph::Update;
 use dynamis_obs::{Counter, Gauge, Stage};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{self, Thread};
 use std::time::Instant;
 
 /// Tuning knobs for [`MisService::spawn`].
@@ -19,14 +23,14 @@ pub struct ServeConfig {
     /// Ingest-queue capacity, in *updates* (a batch counts its length;
     /// an oversized batch is admitted alone into an empty queue). A
     /// full queue blocks `submit` and fails `try_submit` — the
-    /// service's backpressure. The gate uses hysteresis: the writer
-    /// frees a whole drained round at once, so a saturating feeder
+    /// service's backpressure. The gate uses hysteresis: the combining
+    /// submitter frees a whole round at once, so a saturating feeder
     /// parks once per round, not once per update.
     pub queue_updates: usize,
-    /// Maximum updates merged into one engine batch. The writer drains
-    /// whatever is queued up to this burst, so queue pressure
-    /// automatically amortizes per-update overhead (deferred swap
-    /// search, one broadcast per burst).
+    /// Maximum updates merged into one engine batch. The combining
+    /// submitter takes whatever is queued up to this burst, so queue
+    /// pressure automatically amortizes per-update overhead (deferred
+    /// swap search, one broadcast per burst).
     pub burst: usize,
     /// Delta-log entries retained before folding into the checkpoint;
     /// readers lagging by more than this re-seed from the checkpoint.
@@ -51,120 +55,319 @@ impl Default for ServeConfig {
     }
 }
 
-/// One ingest command: its updates plus an optional reply channel
-/// (absent for fire-and-forget submissions). Single updates travel
-/// inline — a `submit` allocates no `Vec`.
+/// One queued command: its updates, whether its owner wants verdicts,
+/// and the owner's mailbox — absent when the owner runs the round.
 struct Cmd {
-    payload: Payload,
-    reply: Option<mpsc::Sender<Vec<Result<u64, EngineError>>>>,
+    updates: Vec<Update>,
+    detached: bool,
+    mailbox: Option<Arc<Mailbox>>,
     /// Submission time, captured only while stage timing is enabled —
-    /// the writer charges `recv → drain` to the ingest-wait stage.
+    /// the combiner charges `enqueue → round` to the ingest-wait stage.
     queued_at: Option<Instant>,
 }
 
-enum Payload {
-    One(Update),
-    Many(Vec<Update>),
+/// Backpressure weight: an empty batch still occupies one slot so a
+/// flood of no-op commands cannot bypass the gate.
+fn weight(updates: &[Update]) -> u64 {
+    (updates.len() as u64).max(1)
 }
 
-impl Payload {
-    fn len(&self) -> usize {
-        match self {
-            Payload::One(_) => 1,
-            Payload::Many(v) => v.len(),
-        }
+/// One verdict per update of a command, in submission order (none for a
+/// detached command): its broadcast sequence number, or the rejection.
+type Verdicts = Vec<Result<u64, EngineError>>;
+
+/// Where a parked submitter learns that its command was resolved or
+/// that the combining role was handed to it.
+struct Mailbox {
+    letter: Mutex<Option<Letter>>,
+    owner: Thread,
+}
+
+enum Letter {
+    /// Run the next round.
+    Combine,
+    /// Resolved; `Stopped` when the engine panicked first.
+    Done(Result<Verdicts, ServeError>),
+}
+
+impl Mailbox {
+    fn post(&self, letter: Letter) {
+        *self.letter.lock().expect(LOCK) = Some(letter);
+        self.owner.unpark();
     }
-
-    /// Backpressure weight: an empty batch still occupies one slot so
-    /// a flood of no-op commands cannot bypass the gate.
-    fn weight(&self) -> u64 {
-        (self.len() as u64).max(1)
-    }
 }
 
-/// The ingest gate: bounds queued updates with a counting semaphore
-/// whose release side is batched. Feeders block (or fail, on the `try`
-/// path) while the queue is at capacity; the writer releases one whole
-/// drained round at a time, so a saturated feeder wakes once per round
-/// instead of once per freed slot — the park/unpark cost is amortized
-/// over the burst.
-#[derive(Debug)]
-struct Backpressure {
-    state: Mutex<BpState>,
-    cv: Condvar,
-    limit: u64,
-}
-
-#[derive(Debug, Default)]
-struct BpState {
+/// What submitters coordinate on, behind [`Shared::state`].
+#[derive(Default)]
+struct State {
+    queue: VecDeque<Cmd>,
+    /// Queued weight: the backpressure gate (`ServeConfig::queue_updates`).
     depth: u64,
-    /// Set when the writer thread is gone (normal exit or panic):
-    /// blocked feeders must wake and fail instead of waiting forever
-    /// for a release that will never come.
+    /// A submitter is running a round (or was handed the next one).
+    /// While it is clear the queue is empty.
+    combining: bool,
+    /// The engine panicked: every submission fails with `Stopped`.
     closed: bool,
+    /// Live [`IngestHandle`]s, the service handle's own included.
+    handles: usize,
+    /// Feeders blocked at the gate: a round signals only if any wait.
+    gated: usize,
 }
 
-impl Backpressure {
-    fn new(limit: usize) -> Self {
-        Backpressure {
-            state: Mutex::new(BpState::default()),
-            cv: Condvar::new(),
-            limit: limit.max(1) as u64,
-        }
+/// Everything the handles share. Nothing in it points back at a
+/// handle, so the engine drops with the last one.
+struct Shared {
+    state: Mutex<State>,
+    /// Feeders parked at the gate and `shutdown` wait here; the last
+    /// handle's drop wakes `shutdown`.
+    cv: Condvar,
+    /// The engine and its round buffers; `None` once the engine panicked
+    /// or was shut down. Only the combiner takes this lock (under
+    /// `state`, and it re-takes `state` under it) while the service runs.
+    core: Mutex<Option<Core>>,
+    log: Arc<SharedLog>,
+    stats: Arc<StatsShared>,
+    limit: u64,
+    burst: usize,
+}
+
+/// No engine code runs under the state and mailbox locks, and engine
+/// panics are caught inside the core lock, so none of them is poisoned.
+const LOCK: &str = "serve lock poisoned";
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(LOCK)
     }
 
-    /// Admits `weight` queued updates, waiting (or failing) while the
-    /// queue is full. An oversized request is admitted alone into an
-    /// empty queue rather than deadlocking.
-    fn acquire(&self, weight: u64, blocking: bool) -> Result<(), ServeError> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.closed {
-                return Err(ServeError::Stopped);
-            }
-            if !(st.depth > 0 && st.depth + weight > self.limit) {
-                break;
-            }
+    /// Passes the gate, enqueues one command and returns once it was
+    /// applied or refused — on this thread, if the engine was free or
+    /// the role is handed here.
+    fn submit(
+        &self,
+        updates: Vec<Update>,
+        detached: bool,
+        blocking: bool,
+    ) -> Result<Verdicts, ServeError> {
+        let n = updates.len() as u64;
+        let weight = weight(&updates);
+        let mut st = self.lock();
+        while !st.closed && st.depth > 0 && st.depth + weight > self.limit {
             if !blocking {
                 return Err(ServeError::QueueFull);
             }
-            st = self.cv.wait(st).unwrap();
+            st.gated += 1;
+            st = self.cv.wait(st).expect(LOCK);
+            st.gated -= 1;
+        }
+        if st.closed {
+            return Err(ServeError::Stopped);
         }
         st.depth += weight;
-        Ok(())
+        self.stats.submitted.fetch_add(n, Ordering::Relaxed);
+        self.stats.queued.fetch_add(n as i64, Ordering::Relaxed);
+        let mailbox = st.combining.then(|| {
+            Arc::new(Mailbox {
+                letter: Mutex::new(None),
+                owner: thread::current(),
+            })
+        });
+        st.combining = true;
+        st.queue.push_back(Cmd {
+            updates,
+            detached,
+            mailbox: mailbox.clone(),
+            queued_at: dynamis_obs::mark(),
+        });
+        let Some(mailbox) = mailbox else {
+            return self.combine(st);
+        };
+        drop(st);
+        loop {
+            let letter = mailbox.letter.lock().expect(LOCK).take();
+            match letter {
+                None => thread::park(),
+                Some(Letter::Combine) => return self.combine(self.lock()),
+                Some(Letter::Done(verdicts)) => return verdicts,
+            }
+        }
     }
 
-    /// Returns a whole drained round's weight and wakes blocked
-    /// feeders.
-    fn release(&self, weight: u64) {
-        let mut st = self.state.lock().unwrap();
+    /// Runs one round on the calling thread, whose command heads the
+    /// queue, then resolves the round's commands and either clears
+    /// `combining` or hands the role to the owner of the queue head.
+    /// An engine panic is caught here: it closes the service instead of
+    /// unwinding into the caller.
+    fn combine(&self, mut st: MutexGuard<'_, State>) -> Result<Verdicts, ServeError> {
+        let mut core_guard = self.core.lock().expect(LOCK);
+        let core = core_guard
+            .as_mut()
+            .expect("combiners run only while the engine lives");
+        let t_drain = core.obs.batch_drain.begin();
+        let (mut total, mut weight) = (0, 0);
+        // Adaptive batching: whatever is queued right now rides along,
+        // up to the burst cap. An idle queue means batch size 1 (lowest
+        // latency); a saturated queue means full bursts (highest
+        // amortization).
+        while total < self.burst {
+            let Some(cmd) = st.queue.pop_front() else {
+                break;
+            };
+            total += cmd.updates.len();
+            weight += self::weight(&cmd.updates);
+            core.round.push(cmd);
+        }
+        // Free the whole round's queue budget in one step — blocked
+        // feeders wake once per round and refill while the engine
+        // works on this batch.
         st.depth -= weight;
+        if st.gated > 0 {
+            self.cv.notify_all();
+        }
         drop(st);
-        self.cv.notify_all();
-    }
+        core.obs.batch_drain.end(t_drain);
 
-    /// Marks the writer as gone and wakes every blocked feeder.
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
+        let seq = catch_unwind(AssertUnwindSafe(|| {
+            core.apply_round(&self.log, &self.stats)
+        }));
+        let mut own = None;
+        let mut ranges = core.ranges.drain(..);
+        for cmd in core.round.drain(..) {
+            let verdicts = match (&seq, ranges.next()) {
+                (Ok(_), _) if cmd.detached => Ok(Vec::new()),
+                (Ok(seq), Some(range)) => Ok(range
+                    .map(|i| core.outcomes[i].take().map_or(Ok(*seq), Err))
+                    .collect()),
+                _ => Err(ServeError::Stopped),
+            };
+            if own.is_none() {
+                own = Some(verdicts);
+            } else if let Some(mailbox) = cmd.mailbox {
+                mailbox.post(Letter::Done(verdicts));
+            }
+        }
+        drop(ranges);
+        let mut st = self.lock();
+        let mut dead = None;
+        if seq.is_err() {
+            // The engine panicked mid-round: fail every queued command
+            // too, close the gate, and drop the engine.
+            st.closed = true;
+            st.depth = 0;
+            for cmd in std::mem::take(&mut st.queue) {
+                let n = cmd.updates.len() as i64;
+                self.stats.queued.fetch_sub(n, Ordering::Relaxed);
+                if let Some(mailbox) = cmd.mailbox {
+                    mailbox.post(Letter::Done(Err(ServeError::Stopped)));
+                }
+            }
+            self.cv.notify_all();
+            dead = core_guard.take();
+        }
+        // Every queued command has a parked owner: hand it the role.
+        let next = st.queue.front().and_then(|cmd| cmd.mailbox.clone());
+        st.combining = next.is_some();
+        // Release the engine first: whoever sees the role free next
+        // finds it unlocked.
+        drop(core_guard);
         drop(st);
-        self.cv.notify_all();
+        if let Some(mailbox) = next {
+            mailbox.post(Letter::Combine);
+        }
+        drop(dead);
+        own.expect("a round holds the combiner's own command")
     }
 }
 
-/// Closes the backpressure gate when the writer thread exits — on the
-/// normal path *and* when a (custom) engine panics mid-apply, so
-/// feeders blocked in `acquire` fail with [`ServeError::Stopped`]
-/// instead of hanging forever.
-struct CloseGateOnExit<'a>(&'a Backpressure);
+/// The engine plus the combiner's round buffers, reused round over
+/// round.
+struct Core {
+    engine: Box<dyn DynamicMis>,
+    obs: ServeObs,
+    round: Vec<Cmd>,
+    updates: Vec<Update>,
+    outcomes: Vec<Option<EngineError>>,
+    ranges: Vec<Range<usize>>,
+}
 
-impl Drop for CloseGateOnExit<'_> {
-    fn drop(&mut self) {
-        self.0.close();
+impl Core {
+    /// Applies the merged round and publishes its net delta; returns the
+    /// round's sequence number. Verdicts are left in `outcomes`, indexed
+    /// through `ranges`.
+    fn apply_round(&mut self, log: &SharedLog, stats: &StatsShared) -> u64 {
+        let obs = &self.obs;
+        // Stage: ingest wait — charge each command's queue time against
+        // one clock read (timestamps exist only while stage timing is
+        // enabled).
+        if self.round.iter().any(|c| c.queued_at.is_some()) {
+            let now = Instant::now();
+            for cmd in &self.round {
+                obs.ingest_wait.end_at(cmd.queued_at, now);
+            }
+        }
+        self.updates.clear();
+        self.ranges.clear();
+        for cmd in &mut self.round {
+            let start = self.updates.len();
+            self.updates.append(&mut cmd.updates);
+            self.ranges.push(start..self.updates.len());
+        }
+        let n = self.updates.len();
+        stats.queued.fetch_sub(n as i64, Ordering::Relaxed);
+        obs.queue_depth
+            .set(stats.queued.load(Ordering::Relaxed).max(0) as u64);
+
+        // Feed the merged slice through the engine's real batch path.
+        // `try_apply_batch` stops at the first rejection with the valid
+        // prefix applied; resume right after the rejected update so
+        // every update gets an individual verdict.
+        let t_apply = obs.engine_apply.begin();
+        self.outcomes.clear();
+        self.outcomes.resize(n, None);
+        let mut start = 0;
+        while start < n {
+            match self.engine.try_apply_batch(&self.updates[start..]) {
+                Ok(_) => break,
+                Err(EngineError::Batch { index, cause }) => {
+                    self.outcomes[start + index] = Some(*cause);
+                    start += index + 1;
+                }
+                Err(other) => {
+                    // Engines wrap batch failures in `EngineError::Batch`;
+                    // treat anything else as the first update failing.
+                    self.outcomes[start] = Some(other);
+                    start += 1;
+                }
+            }
+        }
+        obs.engine_apply.end(t_apply);
+
+        // One broadcast per round: the net delta of everything the
+        // engine accepted (the drainable feed nets rejected prefixes
+        // correctly).
+        let t_bcast = obs.delta_broadcast.begin();
+        let delta = self.engine.drain_delta();
+        let seq = if delta.is_empty() {
+            log.head()
+        } else {
+            publish(delta, log, stats)
+        };
+        obs.delta_broadcast.end(t_bcast);
+
+        let rejected = self.outcomes.iter().filter(|o| o.is_some()).count();
+        stats
+            .applied
+            .fetch_add((n - rejected) as u64, Ordering::Relaxed);
+        stats.rejected.fetch_add(rejected as u64, Ordering::Relaxed);
+        stats.batches.fetch_add(1, Ordering::Relaxed);
+        stats.batch_hist.record(n as u64);
+        obs.applied.add((n - rejected) as u64);
+        obs.rejected.add(rejected as u64);
+        seq
     }
 }
 
-/// What the writer thread hands back when the service shuts down.
+/// What [`ServiceHandle::shutdown`] hands back.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceReport {
     /// `DynamicMis::name` of the served engine.
@@ -177,26 +380,20 @@ pub struct ServiceReport {
     pub stats: ServiceStats,
 }
 
-/// Receipt for a single-update submission.
-///
-/// Dropping a ticket without waiting is allowed (fire-and-forget after
-/// the fact); the writer's send to it simply goes nowhere.
+/// Receipt for a single-update submission. The submitting call returned
+/// only once the update was applied or rejected, so the receipt already
+/// holds the verdict.
 #[derive(Debug)]
 pub struct Ticket {
-    rx: mpsc::Receiver<Vec<Result<u64, EngineError>>>,
+    verdict: Result<u64, EngineError>,
 }
 
 impl Ticket {
-    /// Blocks until the update was applied (the sequence number of the
-    /// broadcast batch containing it) or rejected (the engine's typed
-    /// error, as [`ServeError::Rejected`]).
+    /// The update's verdict: the sequence number of the broadcast batch
+    /// containing it, or the engine's typed error as
+    /// [`ServeError::Rejected`].
     pub fn wait(self) -> Result<u64, ServeError> {
-        let mut results = self.rx.recv().map_err(|_| ServeError::Stopped)?;
-        match results.pop() {
-            Some(Ok(seq)) => Ok(seq),
-            Some(Err(e)) => Err(ServeError::Rejected(e)),
-            None => Err(ServeError::Stopped),
-        }
+        self.verdict.map_err(ServeError::Rejected)
     }
 }
 
@@ -204,148 +401,122 @@ impl Ticket {
 /// in submission order.
 #[derive(Debug)]
 pub struct BatchTicket {
-    rx: mpsc::Receiver<Vec<Result<u64, EngineError>>>,
+    verdicts: Verdicts,
 }
 
 impl BatchTicket {
-    /// Blocks until the whole batch went through the engine. Unlike
+    /// The batch's verdicts. Unlike
     /// [`dynamis_core::DynamicMis::try_apply_batch`], a rejection does
     /// not stop the rest of the batch: each update gets its own
     /// `Result` (the sequence number of its broadcast, or the engine's
     /// rejection).
     pub fn wait(self) -> Result<Vec<Result<u64, EngineError>>, ServeError> {
-        self.rx.recv().map_err(|_| ServeError::Stopped)
+        Ok(self.verdicts)
     }
 }
 
 /// A cloneable, submit-only handle for feeder threads. All clones feed
-/// the same bounded queue; the service shuts down only after every
-/// ingest handle (and the [`ServiceHandle`]) is dropped.
-#[derive(Clone)]
+/// the same bounded queue; [`ServiceHandle::shutdown`] returns only
+/// after every ingest handle (and the [`ServiceHandle`]) is dropped.
+///
+/// Every submit returns once its own command was applied or refused —
+/// on the calling thread, whenever the engine is free. A call fails
+/// with [`ServeError::Stopped`] if the engine panicked before applying
+/// it.
 pub struct IngestHandle {
-    tx: mpsc::Sender<Cmd>,
-    bp: Arc<Backpressure>,
-    stats: Arc<StatsShared>,
+    shared: Arc<Shared>,
+}
+
+impl Clone for IngestHandle {
+    fn clone(&self) -> Self {
+        self.shared.lock().handles += 1;
+        IngestHandle {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl Drop for IngestHandle {
+    fn drop(&mut self) {
+        if let Ok(mut st) = self.shared.state.lock() {
+            st.handles -= 1;
+            self.shared.cv.notify_all();
+        }
+    }
 }
 
 impl IngestHandle {
-    fn send(&self, payload: Payload, want_ticket: bool, blocking: bool) -> SendOutcome {
-        let n = payload.len() as u64;
-        let weight = payload.weight();
-        self.bp.acquire(weight, blocking)?;
-        let (reply, rx) = if want_ticket {
-            let (tx, rx) = mpsc::channel();
-            (Some(tx), Some(rx))
-        } else {
-            (None, None)
-        };
-        self.stats.submitted.fetch_add(n, Ordering::Relaxed);
-        self.stats.queued.fetch_add(n as i64, Ordering::Relaxed);
-        let queued_at = dynamis_obs::mark();
-        match self.tx.send(Cmd {
-            payload,
-            reply,
-            queued_at,
-        }) {
-            Ok(()) => Ok(rx),
-            Err(_) => {
-                self.bp.release(weight);
-                self.stats.submitted.fetch_sub(n, Ordering::Relaxed);
-                self.stats.queued.fetch_sub(n as i64, Ordering::Relaxed);
-                Err(ServeError::Stopped)
-            }
-        }
+    fn one(&self, update: Update, blocking: bool) -> Result<Ticket, ServeError> {
+        let mut verdicts = self.shared.submit(vec![update], false, blocking)?;
+        let verdict = verdicts.pop().expect("one verdict per update");
+        Ok(Ticket { verdict })
     }
 
-    /// Enqueues one update, blocking while the queue is full. The
+    /// Applies one update, blocking while the queue is full. The
     /// ticket reports the typed outcome.
     pub fn submit(&self, update: Update) -> Result<Ticket, ServeError> {
-        self.send(Payload::One(update), true, true)
-            .map(|rx| Ticket { rx: rx.unwrap() })
+        self.one(update, true)
     }
 
     /// Like [`IngestHandle::submit`], but fails with
     /// [`ServeError::QueueFull`] instead of blocking.
     pub fn try_submit(&self, update: Update) -> Result<Ticket, ServeError> {
-        self.send(Payload::One(update), true, false)
-            .map(|rx| Ticket { rx: rx.unwrap() })
+        self.one(update, false)
     }
 
-    /// Fire-and-forget single update (no ticket allocated; rejections
-    /// are only visible in [`ServiceStats::rejected`]).
+    /// Applies one update without a verdict (rejections are only
+    /// visible in [`ServiceStats::rejected`]).
     pub fn submit_detached(&self, update: Update) -> Result<(), ServeError> {
-        self.send(Payload::One(update), false, true).map(|_| ())
+        self.shared.submit(vec![update], true, true).map(drop)
     }
 
-    /// Enqueues a pre-formed batch as one command, blocking while the
+    /// Applies a pre-formed batch as one command, blocking while the
     /// queue is full.
     pub fn submit_batch(&self, updates: Vec<Update>) -> Result<BatchTicket, ServeError> {
-        self.send(Payload::Many(updates), true, true)
-            .map(|rx| BatchTicket { rx: rx.unwrap() })
+        let verdicts = self.shared.submit(updates, false, true)?;
+        Ok(BatchTicket { verdicts })
     }
 
-    /// Fire-and-forget batch.
+    /// Applies a batch without verdicts.
     pub fn submit_batch_detached(&self, updates: Vec<Update>) -> Result<(), ServeError> {
-        self.send(Payload::Many(updates), false, true).map(|_| ())
+        self.shared.submit(updates, true, true).map(drop)
     }
 
-    /// Point-in-time counter snapshot — same view as
-    /// [`ServiceHandle::stats`], available to feeder threads that only
-    /// hold an ingest handle (the network front end's session threads).
+    /// Point-in-time counter snapshot, available to feeder threads that
+    /// only hold an ingest handle (the network front end's session
+    /// threads).
     pub fn stats(&self) -> ServiceStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// Updates currently admitted into the queue and not yet applied —
     /// the signal admission control samples to shed clients *before*
     /// they hit the blocking backpressure gate.
     pub fn queue_depth(&self) -> u64 {
-        self.stats.queued.load(Ordering::Relaxed).max(0) as u64
+        self.shared.stats.queued.load(Ordering::Relaxed).max(0) as u64
     }
 }
 
-type SendOutcome = Result<Option<mpsc::Receiver<Vec<Result<u64, EngineError>>>>, ServeError>;
-
-/// The owning handle of a running service: submits updates, creates
-/// readers, reads stats, and shuts the service down.
+/// The owning handle of a running service: submits updates (through
+/// the [`IngestHandle`] it dereferences to), creates readers, reads
+/// stats, and shuts the service down.
 ///
 /// Dropping the handle without calling [`ServiceHandle::shutdown`]
-/// detaches the writer thread: it still flushes the queue and exits
-/// once the last sender dies, but the final [`ServiceReport`] is
-/// discarded.
+/// discards the final [`ServiceReport`]; the engine is dropped with the
+/// last handle, [`IngestHandle`] clones included.
 pub struct ServiceHandle {
     ingest: IngestHandle,
-    join: JoinHandle<ServiceReport>,
-    log: Arc<SharedLog>,
-    stats: Arc<StatsShared>,
+}
+
+impl std::ops::Deref for ServiceHandle {
+    type Target = IngestHandle;
+
+    fn deref(&self) -> &IngestHandle {
+        &self.ingest
+    }
 }
 
 impl ServiceHandle {
-    /// Enqueues one update, blocking while the queue is full.
-    pub fn submit(&self, update: Update) -> Result<Ticket, ServeError> {
-        self.ingest.submit(update)
-    }
-
-    /// Non-blocking submit; [`ServeError::QueueFull`] when saturated.
-    pub fn try_submit(&self, update: Update) -> Result<Ticket, ServeError> {
-        self.ingest.try_submit(update)
-    }
-
-    /// Fire-and-forget single update.
-    pub fn submit_detached(&self, update: Update) -> Result<(), ServeError> {
-        self.ingest.submit_detached(update)
-    }
-
-    /// Enqueues a pre-formed batch as one command.
-    pub fn submit_batch(&self, updates: Vec<Update>) -> Result<BatchTicket, ServeError> {
-        self.ingest.submit_batch(updates)
-    }
-
-    /// Fire-and-forget batch.
-    pub fn submit_batch_detached(&self, updates: Vec<Update>) -> Result<(), ServeError> {
-        self.ingest.submit_batch_detached(updates)
-    }
-
     /// A cloneable submit-only handle for feeder threads.
     pub fn ingest(&self) -> IngestHandle {
         self.ingest.clone()
@@ -355,36 +526,44 @@ impl ServiceHandle {
     /// including the bootstrap delta, so it reconstructs the engine's
     /// current solution without ever materializing it from the engine.
     pub fn reader(&self) -> ReaderHandle {
-        ReaderHandle::new(Arc::clone(&self.log), Arc::clone(&self.stats))
-    }
-
-    /// Point-in-time counter snapshot.
-    pub fn stats(&self) -> ServiceStats {
-        self.stats.snapshot()
+        let shared = &self.ingest.shared;
+        ReaderHandle::new(Arc::clone(&shared.log), Arc::clone(&shared.stats))
     }
 
     /// The service's broadcast log — the sequenced delta stream a
     /// network front end serializes for its subscribers.
     pub fn log(&self) -> Arc<SharedLog> {
-        Arc::clone(&self.log)
+        Arc::clone(&self.ingest.shared.log)
     }
 
-    /// Graceful shutdown: stops accepting new work from **this**
-    /// handle, lets the writer drain and apply everything already
-    /// queued (tickets still resolve), broadcasts the final deltas, and
-    /// returns the final report.
+    /// Graceful shutdown: waits until every [`IngestHandle`] clone is
+    /// dropped and no round is in flight — so every submitted update was
+    /// applied and broadcast — then returns the final report. The engine
+    /// is dropped before this returns.
     ///
-    /// Blocks until every [`IngestHandle`] clone has been dropped too —
-    /// the queue closes only when its last sender dies.
+    /// # Panics
+    ///
+    /// If the engine panicked in an earlier round.
     pub fn shutdown(self) -> ServiceReport {
-        let ServiceHandle {
-            ingest,
-            join,
-            log: _log,
-            stats: _stats,
-        } = self;
-        drop(ingest);
-        join.join().expect("serve writer thread panicked")
+        let shared = Arc::clone(&self.ingest.shared);
+        drop(self);
+        let mut st = shared.lock();
+        while st.handles > 0 || st.combining {
+            st = shared.cv.wait(st).expect(LOCK);
+        }
+        drop(st);
+        let core = shared
+            .core
+            .lock()
+            .expect(LOCK)
+            .take()
+            .expect("serve engine panicked");
+        ServiceReport {
+            engine: core.engine.name().to_string(),
+            solution: core.engine.solution(),
+            head_seq: shared.log.head(),
+            stats: shared.stats.snapshot(),
+        }
     }
 }
 
@@ -410,13 +589,9 @@ impl ServiceHandle {
 pub struct MisService;
 
 impl MisService {
-    /// Spawns the writer thread over the engine described by `builder`
-    /// (the paper engine matching the builder's `k`, via
-    /// [`EngineBuilder::build`]). The engine is constructed *inside*
-    /// the writer thread; construction errors are reported here.
-    ///
-    /// Returns the owning [`ServiceHandle`] plus a first
-    /// [`ReaderHandle`].
+    /// Starts a service over the paper engine `builder` describes
+    /// ([`EngineBuilder::build`]). Returns the owning [`ServiceHandle`]
+    /// plus a first [`ReaderHandle`], or the construction error.
     pub fn spawn(
         builder: EngineBuilder,
         cfg: ServeConfig,
@@ -426,6 +601,7 @@ impl MisService {
 
     /// Like [`MisService::spawn`], but with an arbitrary engine
     /// factory — any [`DynamicMis`], including baselines or wrappers.
+    /// The factory runs on the calling thread.
     pub fn spawn_with<F>(
         factory: F,
         cfg: ServeConfig,
@@ -433,73 +609,51 @@ impl MisService {
     where
         F: FnOnce() -> Result<Box<dyn DynamicMis>, EngineError> + Send + 'static,
     {
-        let (tx, rx) = mpsc::channel();
-        let bp = Arc::new(Backpressure::new(cfg.queue_updates));
+        let mut engine = factory()?;
         let log = Arc::new(SharedLog::new(cfg.log_window));
         let stats = Arc::new(StatsShared::default());
-        let burst = cfg.burst.max(1);
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let (wlog, wstats, wbp) = (Arc::clone(&log), Arc::clone(&stats), Arc::clone(&bp));
-        let join = thread::Builder::new()
-            .name("dynamis-serve-writer".into())
-            .spawn(move || {
-                let mut engine = match factory() {
-                    Ok(e) => e,
-                    Err(e) => {
-                        let _ = ready_tx.send(Err(e));
-                        return ServiceReport::default();
-                    }
-                };
-                let _gate_guard = CloseGateOnExit(&wbp);
-                // Expose the construction-time bootstrap *before*
-                // signalling readiness, so a reader created right after
-                // `spawn` returns already sees the initial solution: a
-                // fresh service broadcasts it as the first delta, a
-                // resumed one (first_seq > 0) installs it as the log's
-                // base checkpoint so old subscribers re-seed cleanly.
-                if cfg.first_seq > 0 {
-                    let _ = engine.drain_delta();
-                    wlog.install_checkpoint(cfg.first_seq, &engine.solution());
-                    wstats.head_seq.store(cfg.first_seq, Ordering::Relaxed);
-                } else {
-                    publish(engine.drain_delta(), &wlog, &wstats);
-                }
-                let _ = ready_tx.send(Ok(()));
-                writer_loop(engine.as_mut(), rx, &wlog, &wstats, &wbp, burst);
-                ServiceReport {
-                    engine: engine.name().to_string(),
-                    solution: engine.solution(),
-                    head_seq: wlog.head(),
-                    stats: wstats.snapshot(),
-                }
-            })
-            .expect("failed to spawn serve writer thread");
-        match ready_rx.recv() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                let _ = join.join();
-                return Err(e);
-            }
-            Err(_) => panic!("serve writer thread died during engine construction"),
+        // Expose the construction-time bootstrap before returning, so a
+        // reader created right after `spawn` already sees the initial
+        // solution: a fresh service broadcasts it as the first delta, a
+        // resumed one (first_seq > 0) installs it as the log's base
+        // checkpoint so old subscribers re-seed cleanly.
+        if cfg.first_seq > 0 {
+            let _ = engine.drain_delta();
+            log.install_checkpoint(cfg.first_seq, &engine.solution());
+            stats.head_seq.store(cfg.first_seq, Ordering::Relaxed);
+        } else {
+            publish(engine.drain_delta(), &log, &stats);
         }
-        let handle = ServiceHandle {
-            ingest: IngestHandle {
-                tx,
-                bp,
-                stats: Arc::clone(&stats),
-            },
-            join,
+        let core = Core {
+            engine,
+            obs: ServeObs::new(&stats),
+            round: Vec::new(),
+            updates: Vec::new(),
+            outcomes: Vec::new(),
+            ranges: Vec::new(),
+        };
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                handles: 1,
+                ..State::default()
+            }),
+            cv: Condvar::new(),
+            core: Mutex::new(Some(core)),
             log,
             stats,
+            limit: cfg.queue_updates.max(1) as u64,
+            burst: cfg.burst.max(1),
+        });
+        let handle = ServiceHandle {
+            ingest: IngestHandle { shared },
         };
         let reader = handle.reader();
         Ok((handle, reader))
     }
 }
 
-/// The writer thread's cached telemetry handles: the four single-writer
-/// latency stages plus the registry-exported series. Built once per
-/// service, inside the writer thread.
+/// The combiner's cached telemetry handles: the four round latency
+/// stages plus the registry-exported series. Built once per service.
 struct ServeObs {
     ingest_wait: Stage,
     batch_drain: Stage,
@@ -525,161 +679,6 @@ impl ServeObs {
             queue_depth: g.gauge("serve_queue_depth"),
             applied: g.counter("serve_applied_total"),
             rejected: g.counter("serve_rejected_total"),
-        }
-    }
-}
-
-/// The writer loop: blockingly receive one command, opportunistically
-/// drain more up to the burst, feed the merged slice through
-/// `try_apply_batch`, broadcast the net delta, resolve tickets. Exits
-/// when every sender is gone — which is exactly the graceful-shutdown
-/// flush, since `recv` keeps returning queued commands until the queue
-/// is both closed *and* empty.
-fn writer_loop(
-    engine: &mut dyn DynamicMis,
-    rx: mpsc::Receiver<Cmd>,
-    log: &SharedLog,
-    stats: &StatsShared,
-    bp: &Backpressure,
-    burst: usize,
-) {
-    let obs = ServeObs::new(stats);
-    let mut round: Vec<Cmd> = Vec::new();
-    let mut updates: Vec<Update> = Vec::new();
-    let mut outcomes: Vec<Option<EngineError>> = Vec::new();
-    let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
-    while let Ok(first) = rx.recv() {
-        // Stage: batch drain — the idle blocking `recv` above is not
-        // latency, but everything from here to the merged slice is.
-        let t_drain = obs.batch_drain.begin();
-        let mut total = first.payload.len();
-        let mut weight = first.payload.weight();
-        round.push(first);
-        // Adaptive batching: whatever is queued right now rides along,
-        // up to the burst cap. An idle queue means batch size 1 (lowest
-        // latency); a saturated queue means full bursts (highest
-        // amortization).
-        while total < burst {
-            match rx.try_recv() {
-                Ok(cmd) => {
-                    total += cmd.payload.len();
-                    weight += cmd.payload.weight();
-                    round.push(cmd);
-                }
-                Err(_) => break,
-            }
-        }
-        // Free the whole round's queue budget in one step — blocked
-        // feeders wake once per round and refill while the engine
-        // works on this batch.
-        bp.release(weight);
-        obs.batch_drain.end(t_drain);
-        apply_round(
-            engine,
-            &mut round,
-            &mut updates,
-            &mut outcomes,
-            &mut ranges,
-            log,
-            stats,
-            &obs,
-        );
-    }
-}
-
-/// Applies one merged round of commands and resolves their tickets.
-/// Every buffer is caller-owned and reused round over round — the
-/// writer hot path allocates nothing of its own here.
-#[allow(clippy::too_many_arguments)]
-fn apply_round(
-    engine: &mut dyn DynamicMis,
-    round: &mut Vec<Cmd>,
-    updates: &mut Vec<Update>,
-    outcomes: &mut Vec<Option<EngineError>>,
-    ranges: &mut Vec<std::ops::Range<usize>>,
-    log: &SharedLog,
-    stats: &StatsShared,
-    obs: &ServeObs,
-) {
-    // Stage: ingest wait — charge each command's queue time against one
-    // clock read (timestamps exist only while stage timing is enabled).
-    if round.iter().any(|c| c.queued_at.is_some()) {
-        let now = Instant::now();
-        for cmd in round.iter() {
-            obs.ingest_wait.end_at(cmd.queued_at, now);
-        }
-    }
-    updates.clear();
-    ranges.clear();
-    for cmd in round.iter_mut() {
-        let start = updates.len();
-        match std::mem::replace(&mut cmd.payload, Payload::Many(Vec::new())) {
-            Payload::One(u) => updates.push(u),
-            Payload::Many(mut v) => updates.append(&mut v),
-        }
-        ranges.push(start..updates.len());
-    }
-    let n = updates.len();
-    stats.queued.fetch_sub(n as i64, Ordering::Relaxed);
-    obs.queue_depth
-        .set(stats.queued.load(Ordering::Relaxed).max(0) as u64);
-
-    // Feed the merged slice through the engine's real batch path.
-    // `try_apply_batch` stops at the first rejection with the valid
-    // prefix applied; resume right after the rejected update so every
-    // update gets an individual verdict.
-    let t_apply = obs.engine_apply.begin();
-    outcomes.clear();
-    outcomes.resize(n, None);
-    let mut start = 0;
-    while start < n {
-        match engine.try_apply_batch(&updates[start..]) {
-            Ok(_) => break,
-            Err(EngineError::Batch { index, cause }) => {
-                outcomes[start + index] = Some(*cause);
-                start += index + 1;
-            }
-            Err(other) => {
-                // Engines wrap batch failures in `EngineError::Batch`;
-                // treat anything else as the first update failing.
-                outcomes[start] = Some(other);
-                start += 1;
-            }
-        }
-    }
-    obs.engine_apply.end(t_apply);
-
-    // One broadcast per round: the net delta of everything the engine
-    // accepted (the drainable feed nets rejected prefixes correctly).
-    let t_bcast = obs.delta_broadcast.begin();
-    let delta = engine.drain_delta();
-    let seq = if delta.is_empty() {
-        log.head()
-    } else {
-        publish(delta, log, stats)
-    };
-    obs.delta_broadcast.end(t_bcast);
-
-    let rejected = outcomes.iter().filter(|o| o.is_some()).count();
-    stats
-        .applied
-        .fetch_add((n - rejected) as u64, Ordering::Relaxed);
-    stats.rejected.fetch_add(rejected as u64, Ordering::Relaxed);
-    stats.batches.fetch_add(1, Ordering::Relaxed);
-    stats.batch_hist.record(n as u64);
-    obs.applied.add((n - rejected) as u64);
-    obs.rejected.add(rejected as u64);
-
-    for (cmd, range) in round.drain(..).zip(ranges.drain(..)) {
-        if let Some(reply) = cmd.reply {
-            let results = range
-                .map(|i| match outcomes[i].take() {
-                    None => Ok(seq),
-                    Some(e) => Err(e),
-                })
-                .collect();
-            // A dropped ticket is fine — fire-and-forget after the fact.
-            let _ = reply.send(results);
         }
     }
 }

@@ -1,6 +1,6 @@
-//! Service observability: lock-free counters shared by the writer
-//! thread, the ingest handles, and the readers, snapshotted on demand
-//! into a [`ServiceStats`].
+//! Service observability: lock-free counters shared by the combining
+//! submitter, the ingest handles, and the readers, snapshotted on
+//! demand into a [`ServiceStats`].
 
 use dynamis_obs::Histogram;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -22,7 +22,7 @@ pub(crate) fn hist_bucket(size: usize) -> usize {
 pub(crate) struct StatsShared {
     pub submitted: AtomicU64,
     /// Updates accepted into the queue and not yet handed to the
-    /// engine. Signed: the submit-side increment and the writer-side
+    /// engine. Signed: the submit-side increment and the combiner-side
     /// decrement race benignly.
     pub queued: AtomicI64,
     pub applied: AtomicU64,
@@ -104,7 +104,7 @@ pub struct ServiceStats {
     /// Updates the engine rejected (each one's [`dynamis_core::EngineError`]
     /// went to its ticket).
     pub rejected: u64,
-    /// Merged batches the writer fed through `try_apply_batch`.
+    /// Merged batches (rounds) fed through `try_apply_batch`.
     pub batches: u64,
     /// Batch-size histogram: bucket `i` counts batches of
     /// `2^i ..= 2^(i+1) - 1` updates (last bucket open-ended) — the

@@ -493,9 +493,16 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
             })
         })
         .collect();
-    for u in ups {
+    // A lone feeder never builds a queue, so each call is a round of
+    // its own: submit burst-sized chunks to keep the rounds full.
+    let mut ups = ups.into_iter();
+    loop {
+        let chunk: Vec<_> = ups.by_ref().take(burst.max(1)).collect();
+        if chunk.is_empty() {
+            break;
+        }
         service
-            .submit_detached(u)
+            .submit_batch_detached(chunk)
             .map_err(|e| format!("submit: {e}"))?;
     }
     let report = service.shutdown();
@@ -618,7 +625,7 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
     }
 
     // In durable mode the built engine is wrapped in the WAL layer
-    // inside the writer thread (engines are not Send).
+    // inside the factory, after `first_seq` was taken from `prepared`.
     let (service, _reader) = MisService::spawn_with(
         move || {
             let engine = builder.build()?;
