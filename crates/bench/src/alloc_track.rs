@@ -1,9 +1,9 @@
 //! Byte-accurate heap tracking, replacing the paper's `/usr/bin/time`
 //! methodology with an in-process global allocator wrapper. Besides live
 //! and peak bytes, the wrapper counts allocator *calls* (alloc + growing
-//! realloc), which the `hotpath` bench divides by update count to report
-//! allocations/update — the steady-state number for a well-buffered
-//! engine should be near zero.
+//! realloc), which the `hot_path_budget` test divides by update count
+//! to bound allocations/update — the steady-state number for a
+//! well-buffered engine should be near zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -1,5 +1,4 @@
-//! The *hash-indexed* maintenance path, preserved as a benchmark
-//! baseline.
+//! The *hash-indexed* maintenance path, preserved as a test reference.
 //!
 //! Before the intrusive half-edge rewrite, the framework emulated the
 //! paper's in-edge pointers with global hash maps: `dkey(u, v) →
@@ -7,13 +6,12 @@
 //! bucket map for `¯I₂(S)`, and a pair-keyed grouping map inside the
 //! `C₂` queue — one or more probes on **every count transition of every
 //! update**. This module is a faithful, self-contained replica of that
-//! design (same algorithms, same candidate discovery, same drain order)
-//! so the `hotpath` bench can report updates/sec and probes/update for
-//! the two layouts side by side. `hot_hash_probes` counts every hash-map
-//! operation issued by the bookkeeping and swap search.
+//! design (same algorithms, same candidate discovery, same drain order),
+//! so the workspace's differential test can require the k = 1 solutions
+//! of both layouts to match exactly. `hot_hash_probes` counts every
+//! hash-map operation issued by the bookkeeping and swap search.
 //!
-//! Not used by any production path — benchmark and differential-test
-//! reference only.
+//! Not used by any production path — differential-test reference only.
 
 use dynamis_core::{DeltaFeed, DynamicMis, EngineError, SolutionDelta};
 use dynamis_graph::collections::StampSet;

@@ -17,10 +17,11 @@
 //! | `worstcase` | Theorem 3 families |
 //! | `plbcheck`  | Theorem 4 / Lemma 2 constants on every dataset |
 //!
-//! Beyond the paper, `hotpath` measures the update-loop substrate itself:
-//! intrusive half-edge handles vs. the preserved [`hash_baseline`]
-//! layout, reporting updates/sec, allocations/update, and hash
-//! probes/update into `BENCH_PR1.json`.
+//! Beyond the paper, `obs` and `durable` guard the telemetry and WAL
+//! overhead budgets. [`alloc_track`] counts heap bytes and allocator
+//! calls for the memory figures and for the `hot_path_budget` test,
+//! and [`hash_baseline`] is the hash-indexed reference that the
+//! workspace's differential test compares k = 1 solutions against.
 //!
 //! Environment knobs: `DYNAMIS_FAST=1` restricts each experiment to a
 //! representative subset of datasets; `DYNAMIS_TIME_LIMIT_SECS` overrides

@@ -83,8 +83,9 @@ pub struct EngineStats {
     pub entry_hash_probes: u64,
     /// Hash probes issued by count-transition bookkeeping on the update
     /// inner loop. The intrusive half-edge layout leaves no probe site,
-    /// so this is 0 by construction — reported so the `hotpath` bench
-    /// (and any regression test) can assert it.
+    /// so this is 0 by construction — reported so the bench crate's
+    /// `hot_path_budget` test (and any other regression test) can
+    /// assert it.
     pub hot_hash_probes: u64,
 }
 

@@ -13,8 +13,8 @@
 //! The update hot path therefore touches only vectors indexed by vertex
 //! id or adjacency position. [`SwapState::hot_hash_probes`] counts
 //! hash-map probes issued by this bookkeeping; with the intrusive layout
-//! there is no probe site left, so it stays 0 (asserted by tests and
-//! reported by the `hotpath` bench).
+//! there is no probe site left, so it stays 0 (asserted by the state
+//! tests and by the bench crate's `hot_path_budget` test).
 
 use crate::delta::DeltaFeed;
 use dynamis_graph::DynamicGraph;
@@ -92,7 +92,7 @@ pub struct SwapState {
     /// Hash-map probes issued by count-transition bookkeeping. The
     /// intrusive layout has no probe site, so this stays 0 — the field
     /// exists so any future regression has a place to be counted and
-    /// caught (see the `hotpath` bench and the state tests).
+    /// caught (see the `hot_path_budget` test and the state tests).
     pub hot_hash_probes: u64,
     /// Every solution-membership flip is logged here, powering the
     /// per-update [`crate::SolutionDelta`]s and the drainable feed.

@@ -3,11 +3,11 @@
 //! The graph and the production engines' update paths do not hash. The
 //! maps keyed by vertex ids or vertex pairs live around them: the update
 //! stream generators' edge samplers, CSR deduplication, several
-//! baselines, and the hash-indexed replica the `hotpath` bench compares
-//! against. The default SipHash is needlessly slow for 32/64-bit integer
-//! keys; we implement the well-known Fx algorithm (as used by rustc)
-//! directly, since `rustc-hash` is not in the allowed dependency set for
-//! this workspace.
+//! baselines, and the hash-indexed replica the differential test
+//! compares against. The default SipHash is needlessly slow for
+//! 32/64-bit integer keys; we implement the well-known Fx algorithm (as
+//! used by rustc) directly, since `rustc-hash` is not in the allowed
+//! dependency set for this workspace.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -22,14 +22,12 @@ pub struct NetClient {
     payload: Vec<u8>,
     reply: Vec<u8>,
     head_at_hello: u64,
-    server_version: u16,
 }
 
 impl NetClient {
-    /// Connects and performs the `Hello` handshake. A server *older*
-    /// than this client is accepted — version-gated features (filtered
-    /// subscriptions, snapshot bootstrap) are refused locally, typed,
-    /// when asked for against it.
+    /// Connects and performs the `Hello` handshake. The session
+    /// proceeds only if the server speaks exactly [`PROTO_VERSION`];
+    /// otherwise this fails with [`NetError::Handshake`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<NetClient, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -38,26 +36,18 @@ impl NetClient {
             payload: Vec::new(),
             reply: Vec::new(),
             head_at_hello: 0,
-            server_version: 0,
         };
         match c.call(&Request::Hello {
             version: PROTO_VERSION,
         })? {
-            Response::Hello {
-                version,
-                head_seq: _,
-            } if version == 0 => {
-                // A server that speaks no version at all is broken.
-                Err(NetError::Handshake {
-                    server: version,
-                    client: PROTO_VERSION,
-                })
-            }
-            Response::Hello { version, head_seq } => {
+            Response::Hello { version, head_seq } if version == PROTO_VERSION => {
                 c.head_at_hello = head_seq;
-                c.server_version = version;
                 Ok(c)
             }
+            Response::Hello { version, .. } => Err(NetError::Handshake {
+                server: version,
+                client: PROTO_VERSION,
+            }),
             _ => Err(NetError::Protocol("handshake answered with a non-Hello")),
         }
     }
@@ -65,11 +55,6 @@ impl NetClient {
     /// Broadcast-log head the server reported at handshake time.
     pub fn head_at_hello(&self) -> u64 {
         self.head_at_hello
-    }
-
-    /// Protocol version the server negotiated at handshake time.
-    pub fn server_version(&self) -> u16 {
-        self.server_version
     }
 
     /// One request/response round trip. Shed (`Busy`) and server-error
@@ -171,21 +156,12 @@ impl NetClient {
     /// subset `filter` accepts: deltas arrive masked, entries masking
     /// to empty are suppressed server-side (with a periodic empty
     /// position-marker delta so the stream's sequence number still
-    /// tracks the head), and checkpoint reseeds are masked too. A
-    /// non-trivial filter needs a protocol-2 server; against an older
-    /// one this refuses locally with [`NetError::Unsupported`].
+    /// tracks the head), and checkpoint reseeds are masked too.
     pub fn subscribe_filtered(
         mut self,
         after_seq: u64,
         filter: SubFilter,
     ) -> Result<Subscription, NetError> {
-        if !filter.is_all() && self.server_version < 2 {
-            return Err(NetError::Unsupported {
-                feature: "filtered subscriptions",
-                server: self.server_version,
-                needed: 2,
-            });
-        }
         match self.call(&Request::Subscribe { after_seq, filter })? {
             Response::Subscribed { resume_seq } if resume_seq == after_seq => Ok(Subscription {
                 stream: self.stream,
@@ -200,20 +176,12 @@ impl NetClient {
         }
     }
 
-    /// Snapshot cold-start (needs a protocol-2 server): fetches the
-    /// server's base checkpoint — after a durable restart, the newest
+    /// Snapshot cold-start: fetches the server's base checkpoint — after a durable restart, the newest
     /// durable checkpoint — as `(seq, sorted membership)`, reassembled
     /// from length-capped chunks and CRC-verified. A fresh mirror
     /// seeds from it and then subscribes with `after_seq = seq`,
     /// skipping the replay from sequence 0.
     pub fn bootstrap(&mut self) -> Result<(u64, Vec<u32>), NetError> {
-        if self.server_version < 2 {
-            return Err(NetError::Unsupported {
-                feature: "snapshot bootstrap",
-                server: self.server_version,
-                needed: 2,
-            });
-        }
         let (seq, total, chunks, crc) = match self.call(&Request::Bootstrap)? {
             Response::BootstrapMeta {
                 seq,

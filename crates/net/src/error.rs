@@ -17,9 +17,10 @@ pub enum NetError {
     /// response kind).
     Protocol(&'static str),
     /// Version negotiation failed: the server speaks `server`, this
-    /// client speaks `client`, and they share no common version.
+    /// client speaks `client`, and a session needs both to be equal.
     Handshake {
-        /// Protocol version the server offered.
+        /// Protocol version the server answered with or named in its
+        /// refusal (0 if it named none).
         server: u16,
         /// Protocol version this client requested.
         client: u16,
@@ -50,18 +51,6 @@ pub enum NetError {
     /// A delta arrived in order but contradicted the mirror's state —
     /// the stream is corrupt; re-subscribe from a checkpoint.
     Mirror(MirrorError),
-    /// The server's negotiated protocol version predates a feature this
-    /// client asked for (e.g. filtered subscriptions or snapshot
-    /// bootstrap against a version-1 server). Refused locally, before
-    /// any bytes hit the wire.
-    Unsupported {
-        /// The feature that needs a newer server.
-        feature: &'static str,
-        /// Protocol version the server negotiated.
-        server: u16,
-        /// Minimum protocol version the feature needs.
-        needed: u16,
-    },
     /// A filtered subscription delivered a vertex outside its filter —
     /// a server bug; the stream cannot be trusted.
     OutOfFilter {
@@ -91,14 +80,6 @@ impl fmt::Display for NetError {
                 "subscription stream gap: expected seq {expected}, got {got}"
             ),
             NetError::Mirror(e) => write!(f, "subscription stream corrupt: {e}"),
-            NetError::Unsupported {
-                feature,
-                server,
-                needed,
-            } => write!(
-                f,
-                "{feature} needs protocol {needed}, but the server speaks {server}"
-            ),
             NetError::OutOfFilter { vertex } => write!(
                 f,
                 "filtered subscription delivered out-of-filter vertex {vertex}"

@@ -6,12 +6,10 @@
 //! layer defines.
 //!
 //! The *protocol* version ([`PROTO_VERSION`]) rides only in the
-//! `Hello` exchange: it gates which messages a peer may use (filtered
-//! subscriptions and snapshot bootstrap need version ≥ 2), while the
-//! per-message word stays at the codec version so version-1 and
-//! version-2 peers parse each other's shared messages byte-for-byte.
-//! `Subscribe`'s filter is an *optional trailing* field for the same
-//! reason: a version-1 client's filterless encoding still decodes.
+//! `Hello` exchange: a session starts only when both peers speak the
+//! same one. The per-message word stays at the codec version.
+//! `Subscribe` writes [`SubFilter::All`] as the absence of a filter,
+//! so an unfiltered subscription carries no filter bytes.
 
 use crate::error::NetError;
 use dynamis_core::{EngineError, SolutionDelta};
@@ -21,11 +19,10 @@ use dynamis_serve::wire::{self, Reader, WireError};
 use dynamis_serve::ServiceStats;
 
 /// Protocol version spoken by this build. A connection starts with a
-/// [`Request::Hello`] carrying the client's version; the server answers
-/// with its own, and the session proceeds iff the client's version is
-/// not newer than the server's. Version 2 added filtered subscriptions
-/// and the snapshot bootstrap; a version-2 client talking to a
-/// version-1 server refuses those features locally, typed.
+/// [`Request::Hello`] carrying the client's version. The server answers
+/// with its own only if the two are equal, and refuses any other
+/// version with [`ERR_VERSION`]; the client in turn refuses a server
+/// that answers with a different version ([`NetError::Handshake`]).
 pub const PROTO_VERSION: u16 = 2;
 
 /// What subset of the vertex space a subscription streams. The hub
@@ -37,7 +34,7 @@ pub const PROTO_VERSION: u16 = 2;
 /// vertex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SubFilter {
-    /// The whole vertex space (the only filter a version-1 peer knows).
+    /// The whole vertex space.
     #[default]
     All,
     /// The half-open vertex-id range `lo..hi`.
@@ -119,7 +116,7 @@ impl std::str::FromStr for SubFilter {
 /// One client → server message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Opens the session: version negotiation. Must be first.
+    /// Opens the session: version check. Must be first.
     Hello {
         /// Protocol version the client speaks.
         version: u16,
@@ -147,9 +144,8 @@ pub enum Request {
         /// Last sequence number the client has already applied (0 for
         /// a fresh mirror).
         after_seq: u64,
-        /// Vertex subset to stream (encoded as an optional trailing
-        /// field: [`SubFilter::All`] is written as absence, so
-        /// version-1 peers interoperate unchanged).
+        /// Vertex subset to stream (a trailing field;
+        /// [`SubFilter::All`] is written as its absence).
         filter: SubFilter,
     },
     /// Liveness probe; answered with [`Response::Pong`].
@@ -157,7 +153,7 @@ pub enum Request {
     /// Telemetry snapshot of the process-global metrics registry;
     /// answered with [`Response::Metrics`].
     Metrics,
-    /// Snapshot cold-start (protocol ≥ 2): stream the server's base
+    /// Snapshot cold-start: stream the server's base
     /// checkpoint — the newest durable checkpoint after a recovered
     /// restart — so a fresh mirror seeds at its sequence number instead
     /// of replaying from 0. Answered with one
@@ -279,8 +275,7 @@ pub const ERR_ORDER: u16 = 5;
 
 /// Encodes one request as a frame payload. The leading word is the
 /// *codec* version ([`wire::WIRE_VERSION`]), not [`PROTO_VERSION`]:
-/// protocol capability is negotiated once in `Hello`, and shared
-/// messages stay byte-identical across protocol versions.
+/// the protocol version is checked once, in `Hello`.
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     out.clear();
     wire::put_u16(out, wire::WIRE_VERSION);
@@ -310,8 +305,7 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
         Request::Subscribe { after_seq, filter } => {
             out.push(8);
             wire::put_u64(out, *after_seq);
-            // Optional trailing field: All is written as absence, so
-            // this encoding is byte-identical to protocol version 1's.
+            // Trailing field: All is written as absence.
             match filter {
                 SubFilter::All => {}
                 SubFilter::VertexRange { lo, hi } => {
@@ -332,8 +326,8 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes the optional trailing filter of a `Subscribe` body: absence
-/// means [`SubFilter::All`]. Degenerate filters (an empty range, a zero
+/// Decodes the trailing filter of a `Subscribe` body: absence means
+/// [`SubFilter::All`]. Degenerate filters (an empty range, a zero
 /// or out-of-range shard modulus) are refused as malformed rather than
 /// silently streaming nothing.
 fn take_sub_filter(r: &mut Reader<'_>) -> Result<SubFilter, WireError> {
@@ -566,6 +560,16 @@ pub fn response_to_result(resp: Response) -> Result<Response, NetError> {
     match resp {
         Response::Busy { queue_depth } => Err(NetError::Busy { queue_depth }),
         Response::Error { code, .. } if code == ERR_SHUTDOWN => Err(NetError::ServerClosed),
+        Response::Error { code, message } if code == ERR_VERSION => Err(NetError::Handshake {
+            // The refusal names the server's version last ("server
+            // speaks protocol N"); 0 if it names none.
+            server: message
+                .rsplit(' ')
+                .next()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(0),
+            client: PROTO_VERSION,
+        }),
         Response::Error { .. } => Err(NetError::Protocol("server reported a protocol error")),
         other => Ok(other),
     }
@@ -604,8 +608,8 @@ mod tests {
 
     #[test]
     fn legacy_filterless_subscribe_decodes_as_all() {
-        // A version-1 client encodes Subscribe as exactly codec word,
-        // tag 8, after_seq — no trailing filter bytes.
+        // A Subscribe of exactly codec word, tag 8 and after_seq — no
+        // filter bytes — is how the All filter is encoded.
         let mut buf = Vec::new();
         wire::put_u16(&mut buf, wire::WIRE_VERSION);
         buf.push(8);
@@ -621,6 +625,8 @@ mod tests {
 
     #[test]
     fn all_filter_encodes_byte_identically_to_legacy() {
+        // Pins the All filter's encoding as absence: no byte follows
+        // after_seq.
         let mut buf = Vec::new();
         encode_request(
             &Request::Subscribe {

@@ -599,7 +599,7 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, doors: Vec<HubDoor>
             let t_req = req_stage.begin();
             if !hello_done {
                 match req {
-                    Request::Hello { version } if version <= PROTO_VERSION => {
+                    Request::Hello { version } if version == PROTO_VERSION => {
                         hello_done = true;
                         let ok = send(
                             &mut stream,
@@ -617,6 +617,8 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, doors: Vec<HubDoor>
                         continue;
                     }
                     Request::Hello { .. } => {
+                        // `response_to_result` reads our version off
+                        // the end of this message.
                         send(
                             &mut stream,
                             &Response::Error {

@@ -1,22 +1,30 @@
-//! End-to-end loopback smoke: a real server, a real load-generator run
+//! End-to-end loopback runs: a real server, a real load-generator run
 //! (concurrent subscribers + writers over TCP), zero lost deltas, and a
-//! clean shutdown. This is the same path CI drives at larger scale via
-//! the `net` bench binary.
+//! clean shutdown — unfiltered, and filtered with snapshot cold-starts.
+//! CI's multi-process smokes drive the same path through `dynamis
+//! net-serve` and `dynamis net-load`.
 
 use dynamis_core::EngineBuilder;
 use dynamis_gen::powerlaw::chung_lu;
-use dynamis_net::{LoadConfig, NetBackend, NetConfig, NetServer};
+use dynamis_net::{LoadConfig, LoadReport, NetBackend, NetConfig, NetServer, SubFilter};
 use dynamis_serve::{MisService, ServeConfig};
 
-#[test]
-fn loopback_load_run_loses_nothing_and_shuts_down_cleanly() {
-    let g = chung_lu(2_000, 2.4, 6.0, 13);
+/// Serves a 2,000-vertex graph with `hubs` fan-out workers, runs 50
+/// subscribers and 2 writers × 1,000 updates against it (seed, filter
+/// and bootstrap from `load`), and shuts down cleanly with everything
+/// still connected server-side. Asserts the stream integrity every run
+/// owes.
+fn loopback_run(graph_seed: u64, hubs: usize, load: LoadConfig) -> LoadReport {
+    let g = chung_lu(2_000, 2.4, 6.0, graph_seed);
     let (service, _reader) =
         MisService::spawn(EngineBuilder::on(g).k(2), ServeConfig::default()).unwrap();
     let handle = NetServer::bind(
         "127.0.0.1:0",
         NetBackend::single(&service),
-        NetConfig::default(),
+        NetConfig {
+            hubs,
+            ..NetConfig::default()
+        },
     )
     .unwrap();
 
@@ -27,8 +35,7 @@ fn loopback_load_run_loses_nothing_and_shuts_down_cleanly() {
         updates: 1_000,
         vertices: 2_000,
         batch: 8,
-        seed: 99,
-        ..LoadConfig::default()
+        ..load
     };
     let report = dynamis_net::load::run(&cfg).unwrap();
 
@@ -42,6 +49,24 @@ fn loopback_load_run_loses_nothing_and_shuts_down_cleanly() {
         report.verified_mirrors > 0,
         "replicas must equal the snapshot"
     );
+
+    handle.shutdown();
+    let final_report = service.shutdown();
+    assert_eq!(final_report.stats.queue_depth, 0);
+    assert_eq!(final_report.head_seq, report.final_head);
+    report
+}
+
+#[test]
+fn loopback_load_run_loses_nothing_and_shuts_down_cleanly() {
+    let report = loopback_run(
+        13,
+        1,
+        LoadConfig {
+            seed: 99,
+            ..LoadConfig::default()
+        },
+    );
     assert!(report.applied > 0);
     // Throughput counts applied updates only, not rejections.
     assert_eq!(
@@ -49,10 +74,27 @@ fn loopback_load_run_loses_nothing_and_shuts_down_cleanly() {
         report.applied
     );
     assert_eq!(report.subscribers, 50);
+}
 
-    // Clean shutdown with everything still connected server-side.
-    handle.shutdown();
-    let final_report = service.shutdown();
-    assert_eq!(final_report.stats.queue_depth, 0);
-    assert_eq!(final_report.head_seq, report.final_head);
+/// Every odd subscriber takes `shard:0/2` and every subscriber
+/// cold-starts from the snapshot bootstrap, against two hub workers:
+/// no filtered subscriber receives a vertex outside its shard.
+#[test]
+fn filtered_bootstrapped_load_run_stays_in_filter_and_loses_nothing() {
+    let report = loopback_run(
+        17,
+        2,
+        LoadConfig {
+            seed: 6021,
+            filter: SubFilter::Shard { id: 0, of: 2 },
+            bootstrap: true,
+            ..LoadConfig::default()
+        },
+    );
+    assert_eq!(
+        report.out_of_filter, 0,
+        "a filtered subscriber received an out-of-filter vertex"
+    );
+    assert!(report.filtered_subscribers > 0, "nobody was filtered");
+    assert!(report.bootstraps > 0, "nobody cold-started");
 }

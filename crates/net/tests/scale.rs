@@ -167,7 +167,8 @@ fn filtered_subscriber_stays_in_partition_across_reconnect_and_reseed() {
 /// Snapshot cold-start: `bootstrap` seeds a mirror at the log's base
 /// checkpoint, and a subscription resumed from that sequence number
 /// streams pure deltas — no gap, no further checkpoint — until the
-/// mirror equals the server snapshot.
+/// mirror equals the server snapshot. A mirror replayed from sequence 0
+/// ends on the same snapshot.
 #[test]
 fn bootstrap_then_subscribe_hands_off_gap_free() {
     let g = chung_lu(500, 2.4, 6.0, 9);
@@ -234,7 +235,18 @@ fn bootstrap_then_subscribe_hands_off_gap_free() {
     }
 
     let (snap_seq, snap) = writer.snapshot().unwrap();
-    assert_eq!((mirror.seq(), mirror.solution()), (snap_seq, snap));
+    assert_eq!((mirror.seq(), mirror.solution()), (snap_seq, snap.clone()));
+
+    // Bootstrap ≡ replay: a second connection subscribing from 0 (whose
+    // resume point aged out, so it opens with a checkpoint) reaches the
+    // same snapshot.
+    let mut replay = NetClient::connect(&addr).unwrap().subscribe(0).unwrap();
+    replay
+        .set_read_timeout(Some(Duration::from_millis(10)))
+        .unwrap();
+    let mut replayed = RemoteMirror::new();
+    drain_filtered(&mut replay, &mut replayed, SubFilter::All, head);
+    assert_eq!((replayed.seq(), replayed.solution()), (snap_seq, snap));
 
     handle.shutdown();
     service.shutdown();

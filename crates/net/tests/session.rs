@@ -9,11 +9,14 @@ use dynamis_gen::{StreamConfig, UpdateStream};
 use dynamis_graph::{DynamicGraph, Update};
 use dynamis_net::frame::{read_frame, write_frame};
 use dynamis_net::proto::{
-    decode_response, encode_request, Request, Response, ERR_MALFORMED, ERR_ORDER, ERR_VERSION,
+    decode_response, encode_request, encode_response, Request, Response, ERR_MALFORMED, ERR_ORDER,
+    ERR_VERSION,
 };
-use dynamis_net::{NetBackend, NetClient, NetConfig, NetError, NetServer, NetServerHandle};
+use dynamis_net::{
+    NetBackend, NetClient, NetConfig, NetError, NetServer, NetServerHandle, PROTO_VERSION,
+};
 use dynamis_serve::{MisService, ReaderHandle, ServeConfig, ServiceHandle};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 fn serve(
@@ -103,23 +106,67 @@ fn non_hello_first_message_is_refused() {
 }
 
 #[test]
-fn newer_client_version_is_refused() {
+fn mismatched_client_version_is_refused() {
     let g = DynamicGraph::from_edges(3, &[(0, 1)]);
     let (handle, service, _reader, addr) = serve(g, NetConfig::default());
 
-    let mut stream = TcpStream::connect(&addr).unwrap();
-    let mut payload = Vec::new();
-    encode_request(&Request::Hello { version: u16::MAX }, &mut payload);
-    write_frame(&mut stream, &payload).unwrap();
-    let mut reply = Vec::new();
-    assert!(read_frame(&mut stream, &mut reply).unwrap());
-    match decode_response(&reply).unwrap() {
-        Response::Error { code, .. } => assert_eq!(code, ERR_VERSION),
-        other => panic!("expected a version error, got {other:?}"),
+    // Older and newer clients alike: a session needs the same version.
+    for version in [1, PROTO_VERSION + 1, u16::MAX] {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let mut payload = Vec::new();
+        encode_request(&Request::Hello { version }, &mut payload);
+        write_frame(&mut stream, &payload).unwrap();
+        let mut reply = Vec::new();
+        assert!(read_frame(&mut stream, &mut reply).unwrap());
+        match decode_response(&reply).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ERR_VERSION, "version {version}"),
+            other => panic!("version {version}: expected a version error, got {other:?}"),
+        }
     }
 
     handle.shutdown();
     service.shutdown();
+}
+
+/// The client side of the same check, against a stand-in server that
+/// answers `Hello` with `reply`.
+fn connect_to_stub(reply: Response) -> Result<NetClient, NetError> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stub = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut stream, &mut buf).unwrap());
+        encode_response(&reply, &mut buf);
+        write_frame(&mut stream, &buf).unwrap();
+    });
+    let client = NetClient::connect(addr);
+    stub.join().unwrap();
+    client
+}
+
+#[test]
+fn client_refuses_a_server_of_another_version() {
+    let other = PROTO_VERSION + 1;
+    let answered = connect_to_stub(Response::Hello {
+        version: other,
+        head_seq: 0,
+    });
+    assert!(
+        matches!(answered, Err(NetError::Handshake { server, client })
+            if server == other && client == PROTO_VERSION),
+        "{:?}",
+        answered.err()
+    );
+    let refused = connect_to_stub(Response::Error {
+        code: ERR_VERSION,
+        message: format!("server speaks protocol {other}"),
+    });
+    assert!(
+        matches!(refused, Err(NetError::Handshake { server, .. }) if server == other),
+        "{:?}",
+        refused.err()
+    );
 }
 
 #[test]

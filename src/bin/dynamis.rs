@@ -8,7 +8,6 @@
 //! dynamis run --dataset NAME [--algo A] [...]    dynamic maintenance run
 //! dynamis record --dataset NAME <out.trace>      record an update trace
 //! dynamis replay <trace> [--algo A]              replay a recorded trace
-//! dynamis serve-bench --dataset NAME [...]       concurrent serving-layer run
 //! dynamis net-serve --dataset NAME [...]         serve over TCP (wire protocol)
 //! dynamis net-load --addr HOST:PORT [...]        drive a net-serve with load
 //! dynamis metrics --addr HOST:PORT [...]         fetch a telemetry snapshot
@@ -31,7 +30,7 @@ use dynamis::graph::algo::{
     global_clustering, is_bipartite,
 };
 use dynamis::graph::io;
-use dynamis::net::{LoadConfig, NetBackend, NetConfig, NetServer};
+use dynamis::net::{LoadConfig, LoadReport, NetBackend, NetConfig, NetServer};
 use dynamis::statics::{
     arw_local_search, greedy_mis, luby_mis, reducing_peeling, solve_exact, ArwConfig, ExactConfig,
 };
@@ -40,9 +39,7 @@ use dynamis::{
     MaximalOnly, MisService, ServeConfig,
 };
 use std::process::ExitCode;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::thread;
 use std::time::Instant;
 
 fn main() -> ExitCode {
@@ -66,16 +63,14 @@ const USAGE: &str = "usage:
   dynamis run (--dataset NAME | --graph FILE) [--algo ALGO] [--updates N] [--seed S]
   dynamis record (--dataset NAME | --graph FILE) [--updates N] [--seed S] <out.trace>
   dynamis replay <trace> [--algo ALGO]
-  dynamis serve-bench (--dataset NAME | --graph FILE) [--updates N] [--seed S]
-                      [--k K] [--readers R] [--burst B] [--stream mixed|adversarial]
-                      [--metrics true]
   dynamis net-serve (--dataset NAME | --graph FILE) [--k K] [--burst B]
                     [--addr HOST:PORT] [--max-sessions N]
                     [--shed-high H] [--shed-low L] [--metrics true]
                     [--data-dir DIR] [--wal-sync batch|always|never]
-                    [--checkpoint-every N]
+                    [--checkpoint-every N] [--hubs N]
   dynamis net-load --addr HOST:PORT [--subscribers N] [--writers W]
-                   [--updates U] [--vertices V] [--batch B] [--seed S] [--json]
+                   [--updates U] [--vertices V] [--batch B] [--seed S] [--json true]
+                   [--filter all|range:LO..HI|shard:ID/OF] [--bootstrap true]
   dynamis metrics --addr HOST:PORT [--json true | --prom true]
                   [--require NAME,NAME,...]
   dynamis recover --data-dir DIR [--mode verify|replay]
@@ -84,7 +79,9 @@ dynamic algorithms (ALGO): one (default), two, k:<K>, arw, dgone, dgtwo,
                            maximal, restart:<interval>
 net-serve prints `LISTENING <addr>` once ready, serves until stdin closes
 (EOF), then drains subscribers and shuts down; net-load reports writer
-round-trip percentiles, throughput, and delta-stream integrity
+round-trip percentiles, throughput, and delta-stream integrity, and fails
+if the stream broke, --filter or --bootstrap reached no subscriber, or no
+verifying mirror matched the server's snapshot
 --metrics true enables the gated stage timers (counters are always on);
 `metrics` fetches the registry snapshot over the wire — human-readable by
 default, --json/--prom for machine output, --require fails unless every
@@ -108,7 +105,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         Some("run") => cmd_run(&args[1..]),
         Some("record") => cmd_record(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
-        Some("serve-bench") => cmd_serve_bench(&args[1..]),
         Some("net-serve") => cmd_net_serve(&args[1..]),
         Some("net-load") => cmd_net_load(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
@@ -418,114 +414,6 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         t.elapsed(),
         engine.size()
     );
-    Ok(())
-}
-
-fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
-    let (mut dataset, mut graph, mut updates, mut seed, mut k, mut readers, mut burst) =
-        (None, None, None, None, None, None, None);
-    let (mut stream, mut metrics) = (None, None);
-    let positional = parse_flags(
-        args,
-        &mut [
-            ("dataset", &mut dataset),
-            ("graph", &mut graph),
-            ("updates", &mut updates),
-            ("seed", &mut seed),
-            ("k", &mut k),
-            ("readers", &mut readers),
-            ("burst", &mut burst),
-            ("stream", &mut stream),
-            ("metrics", &mut metrics),
-        ],
-    )?;
-    if !positional.is_empty() {
-        return Err("serve-bench takes only flags".into());
-    }
-    if metrics.as_deref() == Some("true") {
-        dynamis::obs::set_enabled(true);
-    }
-    let g = starting_graph(dataset.as_deref(), graph.as_deref())?;
-    let parse = |v: Option<&str>, default: usize, what: &str| -> Result<usize, String> {
-        v.unwrap_or(&default.to_string())
-            .parse()
-            .map_err(|_| format!("bad --{what}"))
-    };
-    let count = parse(updates.as_deref(), 50_000, "updates")?;
-    let seed: u64 = seed
-        .as_deref()
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    let k = parse(k.as_deref(), 2, "k")?;
-    let readers = parse(readers.as_deref(), 3, "readers")?;
-    let burst = parse(burst.as_deref(), 256, "burst")?;
-    let ups = match stream.as_deref().unwrap_or("mixed") {
-        "mixed" => UpdateStream::new(&g, StreamConfig::default(), seed).take_updates(count),
-        "adversarial" => {
-            use dynamis::gen::adversarial::{AdversarialConfig, AdversarialStream};
-            AdversarialStream::new(&g, AdversarialConfig::default(), seed).take_updates(count)
-        }
-        other => return Err(format!("unknown --stream `{other}`")),
-    };
-    let cfg = ServeConfig {
-        burst,
-        ..ServeConfig::default()
-    };
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let t = Instant::now();
-    let (service, mut reader) = MisService::spawn(EngineBuilder::on(g).k(k), cfg)
-        .map_err(|e| format!("spawning service: {e}"))?;
-    let cap = reader.len() as u32 * 4 + 64;
-    let query_threads: Vec<thread::JoinHandle<u64>> = (0..readers)
-        .map(|i| {
-            let mut r = service.reader();
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let (mut queries, mut v) = (0u64, i as u32);
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let _ = r.contains(v % cap);
-                    v = v.wrapping_mul(2_654_435_761).wrapping_add(1);
-                    queries += 1;
-                }
-                queries
-            })
-        })
-        .collect();
-    // A lone feeder never builds a queue, so each call is a round of
-    // its own: submit burst-sized chunks to keep the rounds full.
-    let mut ups = ups.into_iter();
-    loop {
-        let chunk: Vec<_> = ups.by_ref().take(burst.max(1)).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        service
-            .submit_batch_detached(chunk)
-            .map_err(|e| format!("submit: {e}"))?;
-    }
-    let report = service.shutdown();
-    let elapsed = t.elapsed();
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let queries: u64 = query_threads.into_iter().map(|h| h.join().unwrap()).sum();
-
-    println!(
-        "{} behind serving layer: {} updates in {:.2?} ({:.0} updates/s)",
-        report.engine,
-        report.stats.applied,
-        elapsed,
-        report.stats.applied as f64 / elapsed.as_secs_f64()
-    );
-    println!(
-        "{readers} readers: {queries} point queries ({:.0} queries/s aggregate)",
-        queries as f64 / elapsed.as_secs_f64()
-    );
-    println!("final stats: {}", report.stats);
-    println!("final |I| = {}", report.solution.len());
-    if dynamis::obs::enabled() {
-        println!("{}", dynamis::obs::global().snapshot().to_prometheus());
-    }
     Ok(())
 }
 
@@ -839,10 +727,27 @@ fn cmd_net_load(args: &[String]) -> Result<(), String> {
             );
         }
     }
+    check_load(&cfg, &report)
+}
+
+/// Fails a finished `net-load` run whose delta stream broke, or whose
+/// scale-out flags exercised nothing: a `--filter` that put no
+/// subscriber on the filter, a `--bootstrap true` that cold-started
+/// none, or subscribers of which no verifying mirror matched.
+fn check_load(cfg: &LoadConfig, report: &LoadReport) -> Result<(), String> {
     if report.gaps + report.lost_deltas + report.mirror_errors + report.out_of_filter > 0 {
         return Err(
             "delta stream integrity violated (gaps/lost/mirror errors/out-of-filter)".into(),
         );
+    }
+    if !cfg.filter.is_all() && report.filtered_subscribers == 0 {
+        return Err(format!("--filter {} filtered no subscriber", cfg.filter));
+    }
+    if cfg.bootstrap && report.bootstraps == 0 {
+        return Err("--bootstrap true bootstrapped no subscriber".into());
+    }
+    if cfg.subscribers > 0 && report.verified_mirrors == 0 {
+        return Err("no verifying mirror matched the server snapshot".into());
     }
     Ok(())
 }
@@ -985,29 +890,46 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_runs_both_streams() {
-        for stream in ["mixed", "adversarial"] {
-            dispatch(&[
-                "serve-bench".to_string(),
-                "--dataset".to_string(),
-                "Email".to_string(),
-                "--updates".to_string(),
-                "300".to_string(),
-                "--readers".to_string(),
-                "1".to_string(),
-                "--stream".to_string(),
-                stream.to_string(),
-            ])
-            .unwrap_or_else(|m| panic!("{stream}: {m}"));
+    fn load_check_fails_runs_whose_flags_did_nothing() {
+        let cfg = LoadConfig {
+            subscribers: 8,
+            filter: dynamis::net::SubFilter::Shard { id: 0, of: 2 },
+            bootstrap: true,
+            ..LoadConfig::default()
+        };
+        let good = LoadReport {
+            filtered_subscribers: 4,
+            bootstraps: 8,
+            verified_mirrors: 4,
+            ..LoadReport::default()
+        };
+        check_load(&cfg, &good).unwrap();
+        for bad in [
+            LoadReport {
+                filtered_subscribers: 0,
+                ..good.clone()
+            },
+            LoadReport {
+                bootstraps: 0,
+                ..good.clone()
+            },
+            LoadReport {
+                verified_mirrors: 0,
+                ..good.clone()
+            },
+            LoadReport {
+                out_of_filter: 1,
+                ..good.clone()
+            },
+        ] {
+            assert!(check_load(&cfg, &bad).is_err(), "{bad:?}");
         }
-        assert!(dispatch(&[
-            "serve-bench".to_string(),
-            "--dataset".to_string(),
-            "Email".to_string(),
-            "--stream".to_string(),
-            "bogus".to_string(),
-        ])
-        .is_err());
+        // Without subscribers or scale-out flags, nothing is owed.
+        let plain = LoadConfig {
+            subscribers: 0,
+            ..LoadConfig::default()
+        };
+        check_load(&plain, &LoadReport::default()).unwrap();
     }
 
     #[test]

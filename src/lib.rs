@@ -17,8 +17,8 @@
 //! | [`baselines`] | DyARW and the DGOneDIS/DGTwoDIS dependency-index emulation |
 //! | [`gen`] | graph generators, update streams, PLB estimation, dataset registry |
 //! | [`problems`] | vertex cover, clique, coloring, and the intro's applications (map labeling, collusion detection, interval scheduling) |
-//! | [`serve`] | concurrent serving layer: single-writer engine thread, batched ingest, delta-broadcast readers |
-//! //! | [`net`] | network front end: length-prefixed wire protocol, per-client sessions, delta subscriptions, admission control |
+//! | [`serve`] | concurrent serving layer: one engine applied by flat combining on the submitting threads, batched ingest, delta-broadcast readers |
+//! | [`net`] | network front end: length-prefixed wire protocol, per-client sessions, delta subscriptions, admission control |
 //! | [`durable`] | crash durability: segmented checksummed WAL of the accepted stream, snapshot checkpoints, torn-tail recovery |
 //!
 //! ## Quickstart
