@@ -4,8 +4,7 @@
 use crate::error::NetError;
 use crate::frame::{read_frame, write_frame, FrameBuffer};
 use crate::proto::{
-    decode_response, encode_request, response_to_result, Request, Response, SubFilter,
-    PROTO_VERSION,
+    decode_response, encode_request, response_to_result, Request, Response, PROTO_VERSION,
 };
 use dynamis_core::{EngineError, SolutionDelta, SolutionMirror};
 use dynamis_graph::Update;
@@ -148,21 +147,8 @@ impl NetClient {
     /// Converts this session into a subscription stream delivering
     /// every sequenced delta after `after_seq` (0 for a fresh mirror;
     /// the last applied sequence to resume after a reconnect).
-    pub fn subscribe(self, after_seq: u64) -> Result<Subscription, NetError> {
-        self.subscribe_filtered(after_seq, SubFilter::All)
-    }
-
-    /// Like [`NetClient::subscribe`], but streams only the vertex
-    /// subset `filter` accepts: deltas arrive masked, entries masking
-    /// to empty are suppressed server-side (with a periodic empty
-    /// position-marker delta so the stream's sequence number still
-    /// tracks the head), and checkpoint reseeds are masked too.
-    pub fn subscribe_filtered(
-        mut self,
-        after_seq: u64,
-        filter: SubFilter,
-    ) -> Result<Subscription, NetError> {
-        match self.call(&Request::Subscribe { after_seq, filter })? {
+    pub fn subscribe(mut self, after_seq: u64) -> Result<Subscription, NetError> {
+        match self.call(&Request::Subscribe { after_seq })? {
             Response::Subscribed { resume_seq } if resume_seq == after_seq => Ok(Subscription {
                 stream: self.stream,
                 fb: FrameBuffer::new(),
@@ -330,26 +316,16 @@ fn decode_event(frame: &[u8]) -> Result<SubEvent, NetError> {
 }
 
 /// A remote replica of the served solution, fed by subscription
-/// events. Apply is *strict*: on an unfiltered stream, a delta whose
-/// sequence number is not exactly `seq() + 1` is a typed
-/// [`NetError::Gap`] — never silently skipped or double-applied — and
-/// a delta contradicting the mirror's state is a typed
-/// [`NetError::Mirror`]. This is what makes "every sequenced delta,
-/// exactly once, in order" checkable: any violation anywhere in the
-/// transport surfaces here.
-///
-/// A [`filtered`](RemoteMirror::filtered) replica mirrors only its
-/// vertex subset. Its stream legitimately skips the sequence numbers
-/// of fully-suppressed entries, so contiguity relaxes to *strictly
-/// increasing*; in exchange it checks that every delivered vertex is
-/// inside the filter ([`NetError::OutOfFilter`] otherwise) and masks
-/// checkpoint solutions client-side, so an unfiltered bootstrap
-/// checkpoint composes with a filtered stream.
+/// events. Apply is *strict*: a delta whose sequence number is not
+/// exactly `seq() + 1` is a typed [`NetError::Gap`] — never silently
+/// skipped or double-applied — and a delta contradicting the mirror's
+/// state is a typed [`NetError::Mirror`]. This is what makes "every
+/// sequenced delta, exactly once, in order" checkable: any violation
+/// anywhere in the transport surfaces here.
 #[derive(Debug, Default, Clone)]
 pub struct RemoteMirror {
     mirror: SolutionMirror,
     seq: u64,
-    filter: SubFilter,
 }
 
 impl RemoteMirror {
@@ -359,59 +335,22 @@ impl RemoteMirror {
         RemoteMirror::default()
     }
 
-    /// An empty replica at sequence 0 mirroring only the vertex subset
-    /// `filter` accepts — pair it with
-    /// [`NetClient::subscribe_filtered`] on the same filter.
-    pub fn filtered(filter: SubFilter) -> Self {
-        RemoteMirror {
-            filter,
-            ..RemoteMirror::default()
-        }
-    }
-
-    /// Applies one event, enforcing contiguity (strictly increasing,
-    /// in-filter events for a filtered replica).
+    /// Applies one event, enforcing contiguity.
     pub fn apply_event(&mut self, ev: &SubEvent) -> Result<(), NetError> {
         match ev {
             SubEvent::Delta { seq, delta } => {
-                if self.filter.is_all() {
-                    if *seq != self.seq + 1 {
-                        return Err(NetError::Gap {
-                            expected: self.seq + 1,
-                            got: *seq,
-                        });
-                    }
-                } else {
-                    // Suppressed entries legitimately skip sequence
-                    // numbers, but a duplicate or reordered delta is
-                    // still a transport violation.
-                    if *seq <= self.seq {
-                        return Err(NetError::Gap {
-                            expected: self.seq + 1,
-                            got: *seq,
-                        });
-                    }
-                    for &v in delta.entered.iter().chain(delta.left.iter()) {
-                        if !self.filter.accepts(v) {
-                            return Err(NetError::OutOfFilter { vertex: v });
-                        }
-                    }
+                if *seq != self.seq + 1 {
+                    return Err(NetError::Gap {
+                        expected: self.seq + 1,
+                        got: *seq,
+                    });
                 }
                 self.mirror.apply(delta)?;
                 self.seq = *seq;
                 Ok(())
             }
             SubEvent::Checkpoint { seq, solution } => {
-                if self.filter.is_all() {
-                    self.mirror = SolutionMirror::from_solution(solution);
-                } else {
-                    let masked: Vec<u32> = solution
-                        .iter()
-                        .copied()
-                        .filter(|&v| self.filter.accepts(v))
-                        .collect();
-                    self.mirror = SolutionMirror::from_solution(&masked);
-                }
+                self.mirror = SolutionMirror::from_solution(solution);
                 self.seq = *seq;
                 Ok(())
             }

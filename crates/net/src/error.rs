@@ -51,12 +51,6 @@ pub enum NetError {
     /// A delta arrived in order but contradicted the mirror's state —
     /// the stream is corrupt; re-subscribe from a checkpoint.
     Mirror(MirrorError),
-    /// A filtered subscription delivered a vertex outside its filter —
-    /// a server bug; the stream cannot be trusted.
-    OutOfFilter {
-        /// The out-of-filter vertex that arrived.
-        vertex: u32,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -80,10 +74,6 @@ impl fmt::Display for NetError {
                 "subscription stream gap: expected seq {expected}, got {got}"
             ),
             NetError::Mirror(e) => write!(f, "subscription stream corrupt: {e}"),
-            NetError::OutOfFilter { vertex } => write!(
-                f,
-                "filtered subscription delivered out-of-filter vertex {vertex}"
-            ),
         }
     }
 }

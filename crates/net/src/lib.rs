@@ -9,26 +9,24 @@
 //! - [`proto`] — the typed [`proto::Request`]/[`proto::Response`]
 //!   vocabulary, negotiated once per session ([`proto::PROTO_VERSION`]
 //!   in `Hello`) and composed from `dynamis-serve`'s value codec so
-//!   wire bytes match the serve layer's definitions exactly. Protocol
-//!   2 adds filtered subscriptions ([`proto::SubFilter`]) and the
-//!   snapshot cold-start handshake.
+//!   wire bytes match the serve layer's definitions exactly.
 //! - [`server`] — thread-per-connection sessions over one
-//!   [`server::NetBackend`], plus a pool of hub workers
-//!   ([`server::NetConfig::hubs`], round-robin subscriber assignment)
-//!   that own the subscription sockets and fan sequenced deltas out of
-//!   the shared broadcast log — each entry encoded once process-wide
-//!   through a shared frame cache, written once per subscriber.
+//!   [`server::NetBackend`], plus one hub thread that owns the
+//!   subscription sockets and fans sequenced deltas out of the shared
+//!   broadcast log — each entry encoded once through the hub's frame
+//!   cache, written once per subscriber.
 //! - [`client`] — the blocking [`client::NetClient`], the
 //!   [`client::Subscription`] consumer, and the strict
 //!   [`client::RemoteMirror`] replica that makes "every delta, exactly
-//!   once, in order" checkable (per vertex subset, for filtered
-//!   streams). `NetClient::bootstrap` seeds a fresh mirror from the
-//!   server's base checkpoint instead of replaying from sequence 0.
+//!   once, in order" checkable. `NetClient::bootstrap` seeds a fresh
+//!   mirror from the server's base checkpoint instead of replaying from
+//!   sequence 0.
 //! - [`admission`] — hysteretic shed/accept gate extending the serve
 //!   layer's backpressure to clients with typed `Busy` replies.
 //! - [`load`] — the load generator behind `dynamis net-load`:
-//!   thousands of polled subscriber sockets per thread, writer
-//!   round-trip percentiles, and stream-integrity accounting.
+//!   thousands of polled subscriber sockets per thread, writers whose
+//!   updates apply, round-trip percentiles, and stream-integrity
+//!   accounting.
 //!
 //! A remote mirror fed by a subscription replays exactly what an
 //! in-process `SolutionMirror` attached to the same service sees:
@@ -47,5 +45,5 @@ pub use admission::Admission;
 pub use client::{NetClient, RemoteMirror, SubEvent, Subscription};
 pub use error::NetError;
 pub use load::{LoadConfig, LoadReport};
-pub use proto::{Request, Response, SubFilter, PROTO_VERSION};
+pub use proto::{Request, Response, PROTO_VERSION};
 pub use server::{NetBackend, NetConfig, NetServer, NetServerHandle};

@@ -10,14 +10,19 @@
 //! handful of *verifier* subscribers additionally maintain a full
 //! [`RemoteMirror`] so the stream's content — not just its numbering —
 //! is checked against the server's snapshot at the end. Writers are
-//! full request/response clients measuring per-call round-trip times.
+//! full request/response clients measuring per-call round-trip times;
+//! each owns a disjoint class of vertex pairs, inserts only pairs it
+//! has not seen present, and removes only edges it inserted, so its
+//! updates apply.
 
 use crate::client::{NetClient, RemoteMirror, SubEvent, Subscription};
 use crate::error::NetError;
-use crate::proto::SubFilter;
+use dynamis_core::EngineError;
 use dynamis_graph::Update;
 use dynamis_obs::Histogram;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use std::collections::HashSet;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -27,6 +32,9 @@ use std::time::{Duration, Instant};
 const POOL_SIZE: usize = 2500;
 /// Subscribers that maintain a full verifying mirror.
 const VERIFIERS: usize = 4;
+/// Draws a writer makes for a free pair of its class before it deems
+/// the class full.
+const MAX_DRAWS: usize = 1024;
 
 /// Parameters of one load run.
 #[derive(Debug, Clone)]
@@ -39,16 +47,14 @@ pub struct LoadConfig {
     pub writers: usize,
     /// Total updates across all writers.
     pub updates: usize,
-    /// Vertex-id range updates draw from (must match the served graph).
+    /// Writers draw edge endpoints from `0..vertices`. Every id in it
+    /// must be a live vertex of the served graph, or its updates are
+    /// rejected; the server does not report its vertex count.
     pub vertices: u32,
     /// Updates per `ApplyBatch` request (1 = single-update `Apply`).
     pub batch: usize,
     /// Deterministic stream seed.
     pub seed: u64,
-    /// Subscription filter exercised by every odd-indexed subscriber
-    /// (even-indexed ones stay unfiltered, so both paths run side by
-    /// side). [`SubFilter::All`] leaves every subscriber unfiltered.
-    pub filter: SubFilter,
     /// Seed every subscriber from a snapshot cold-start
     /// ([`NetClient::bootstrap`]) instead of replaying from sequence 0.
     pub bootstrap: bool,
@@ -64,7 +70,6 @@ impl Default for LoadConfig {
             vertices: 10_000,
             batch: 16,
             seed: 42,
-            filter: SubFilter::All,
             bootstrap: false,
         }
     }
@@ -81,8 +86,9 @@ pub struct LoadReport {
     pub updates: u64,
     /// Updates the engine applied.
     pub applied: u64,
-    /// Updates the engine rejected (typed verdicts — expected under a
-    /// random stream; rejections are correct answers, not errors).
+    /// Updates the engine rejected (typed verdicts). Writers send only
+    /// updates they expect to apply, so the one rejection a correct
+    /// run owes is an insert of an edge the served graph already held.
     pub rejected: u64,
     /// Requests shed with `Busy` (each was retried until accepted).
     pub busy_retries: u64,
@@ -122,11 +128,6 @@ pub struct LoadReport {
     pub mirror_errors: u64,
     /// Final broadcast-log head.
     pub final_head: u64,
-    /// Subscribers that ran with a non-trivial filter.
-    pub filtered_subscribers: usize,
-    /// Out-of-filter vertices delivered to filtered subscribers (a
-    /// server masking bug; must be 0).
-    pub out_of_filter: u64,
     /// Snapshot cold-starts performed (one per subscriber when
     /// [`LoadConfig::bootstrap`] is set).
     pub bootstraps: u64,
@@ -151,7 +152,6 @@ impl LoadReport {
                 "\"sub_events\": {}, \"sub_checkpoints\": {}, \"gaps\": {}, ",
                 "\"lost_deltas\": {}, \"reconnects\": {}, ",
                 "\"verified_mirrors\": {}, \"mirror_errors\": {}, \"final_head\": {}, ",
-                "\"filtered_subscribers\": {}, \"out_of_filter\": {}, ",
                 "\"bootstraps\": {}, \"busy_p50_us\": {}, \"busy_max_us\": {}}}"
             ),
             self.subscribers,
@@ -174,8 +174,6 @@ impl LoadReport {
             self.verified_mirrors,
             self.mirror_errors,
             self.final_head,
-            self.filtered_subscribers,
-            self.out_of_filter,
             self.bootstraps,
             self.busy_p50_us,
             self.busy_max_us
@@ -185,13 +183,10 @@ impl LoadReport {
 
 struct SubState {
     sub: Subscription,
-    global_idx: usize,
-    filter: SubFilter,
     last_seq: u64,
     events: u64,
     checkpoints: u64,
     gaps: u64,
-    out_of_filter: u64,
     closed: bool,
     verifier: Option<RemoteMirror>,
     verifier_errors: u64,
@@ -205,21 +200,8 @@ struct PoolSummary {
     lost: u64,
     reconnects: u64,
     mirror_errors: u64,
-    out_of_filter: u64,
     bootstraps: u64,
-    filtered: usize,
-    verifier_solutions: Vec<(u64, Vec<u32>, SubFilter)>,
-}
-
-/// The filter one subscriber runs with: odd global indices take the
-/// configured filter, even ones stay unfiltered, so a filtered run
-/// exercises both hub paths side by side.
-fn filter_for(cfg_filter: SubFilter, global_idx: usize) -> SubFilter {
-    if cfg_filter.is_all() || global_idx.is_multiple_of(2) {
-        SubFilter::All
-    } else {
-        cfg_filter
-    }
+    verifier_solutions: Vec<(u64, Vec<u32>)>,
 }
 
 struct WriterSummary {
@@ -242,12 +224,12 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadReport, NetError> {
         let addr = cfg.addr.clone();
         let head = Arc::clone(&final_head);
         let start_idx = global;
-        let (filter, bootstrap) = (cfg.filter, cfg.bootstrap);
+        let bootstrap = cfg.bootstrap;
         global += count;
         pool_joins.push(
             thread::Builder::new()
                 .name("net-load-subs".into())
-                .spawn(move || pool_thread(&addr, start_idx, count, filter, bootstrap, &head))
+                .spawn(move || pool_thread(&addr, start_idx, count, bootstrap, &head))
                 .expect("failed to spawn subscriber pool thread"),
         );
     }
@@ -270,13 +252,14 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadReport, NetError> {
         } else {
             per_writer
         };
-        let (vertices, batch, seed) = (cfg.vertices, cfg.batch.max(1), cfg.seed + w as u64);
+        let book = PairBook::new(w, cfg.writers, cfg.vertices);
+        let (batch, seed) = (cfg.batch.max(1), cfg.seed + w as u64);
         let lat = Arc::clone(&latency_us);
         let busy = Arc::clone(&busy_us);
         writer_joins.push(
             thread::Builder::new()
                 .name("net-load-writer".into())
-                .spawn(move || writer_thread(&addr, n, vertices, batch, seed, &lat, &busy))
+                .spawn(move || writer_thread(&addr, n, book, batch, seed, &lat, &busy))
                 .expect("failed to spawn writer thread"),
         );
     }
@@ -284,7 +267,6 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadReport, NetError> {
     let mut report = LoadReport {
         subscribers: cfg.subscribers,
         writers: cfg.writers,
-        updates: cfg.updates as u64,
         ..LoadReport::default()
     };
     for j in writer_joins {
@@ -293,6 +275,7 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadReport, NetError> {
         report.rejected += w.rejected;
         report.busy_retries += w.busy;
     }
+    report.updates = report.applied + report.rejected;
     report.elapsed_s = started.elapsed().as_secs_f64();
     report.throughput = report.applied as f64 / report.elapsed_s.max(1e-9);
     let lat = latency_us.snapshot();
@@ -328,20 +311,11 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadReport, NetError> {
         report.lost_deltas += p.lost;
         report.reconnects += p.reconnects;
         report.mirror_errors += p.mirror_errors;
-        report.out_of_filter += p.out_of_filter;
         report.bootstraps += p.bootstraps;
-        report.filtered_subscribers += p.filtered;
-        for (seq, solution, filter) in p.verifier_solutions {
+        for (seq, solution) in p.verifier_solutions {
             if seq == head {
                 let (snap_seq, snap) = probe.snapshot()?;
-                // A filtered verifier mirrors only its subset: compare
-                // against the snapshot intersected with the filter.
-                let expected: Vec<u32> = if filter.is_all() {
-                    snap
-                } else {
-                    snap.into_iter().filter(|&v| filter.accepts(v)).collect()
-                };
-                if snap_seq == seq && expected == solution {
+                if snap_seq == seq && snap == solution {
                     report.verified_mirrors += 1;
                 }
             }
@@ -354,21 +328,15 @@ fn pool_thread(
     addr: &str,
     start_idx: usize,
     count: usize,
-    cfg_filter: SubFilter,
     bootstrap: bool,
     final_head: &AtomicU64,
 ) -> Result<PoolSummary, NetError> {
     let mut summary = PoolSummary::default();
     let mut subs = Vec::with_capacity(count);
     for i in 0..count {
-        let global_idx = start_idx + i;
-        let filter = filter_for(cfg_filter, global_idx);
-        let start = connect_sub(addr, 0, filter, bootstrap)?;
+        let start = connect_sub(addr, 0, bootstrap)?;
         start.sub.set_nonblocking(true)?;
-        if !filter.is_all() {
-            summary.filtered += 1;
-        }
-        let mut verifier = (global_idx < VERIFIERS).then(|| RemoteMirror::filtered(filter));
+        let mut verifier = (start_idx + i < VERIFIERS).then(RemoteMirror::new);
         if let (Some(m), Some((seq, solution))) = (verifier.as_mut(), start.checkpoint.as_ref()) {
             // Seed the verifying mirror exactly the way a production
             // cold-start would: apply the bootstrap checkpoint, then
@@ -383,13 +351,10 @@ fn pool_thread(
         }
         subs.push(SubState {
             sub: start.sub,
-            global_idx,
-            filter,
             last_seq: start.seq,
             events: 0,
             checkpoints: 0,
             gaps: 0,
-            out_of_filter: 0,
             closed: false,
             verifier,
             verifier_errors: 0,
@@ -404,8 +369,8 @@ fn pool_thread(
             if st.closed {
                 // Reconnect and resume from the last applied sequence —
                 // the production recovery path for a shed subscriber
-                // (same filter; no re-bootstrap, resume carries state).
-                match connect_sub(addr, st.last_seq, st.filter, false) {
+                // (no re-bootstrap, resume carries state).
+                match connect_sub(addr, st.last_seq, false) {
                     Ok(start) => {
                         let _ = start.sub.set_nonblocking(true);
                         st.sub = start.sub;
@@ -422,37 +387,14 @@ fn pool_thread(
             let res = st.sub.poll_events(|ev| {
                 st.events += 1;
                 match &ev {
-                    SubEvent::Delta { seq, delta } => {
-                        if st.filter.is_all() {
-                            // Unfiltered streams are strictly contiguous.
-                            if *seq != st.last_seq + 1 {
-                                st.gaps += 1;
-                            }
-                        } else {
-                            // Filtered streams legitimately skip the
-                            // sequence numbers of suppressed entries,
-                            // but must stay strictly increasing and
-                            // inside the filter.
-                            if *seq <= st.last_seq {
-                                st.gaps += 1;
-                            }
-                            for &v in delta.entered.iter().chain(delta.left.iter()) {
-                                if !st.filter.accepts(v) {
-                                    st.out_of_filter += 1;
-                                }
-                            }
+                    SubEvent::Delta { seq, .. } => {
+                        if *seq != st.last_seq + 1 {
+                            st.gaps += 1;
                         }
                         st.last_seq = *seq;
                     }
-                    SubEvent::Checkpoint { seq, solution } => {
+                    SubEvent::Checkpoint { seq, .. } => {
                         st.checkpoints += 1;
-                        if !st.filter.is_all() {
-                            for &v in solution {
-                                if !st.filter.accepts(v) {
-                                    st.out_of_filter += 1;
-                                }
-                            }
-                        }
                         st.last_seq = *seq;
                     }
                 }
@@ -489,12 +431,8 @@ fn pool_thread(
         summary.gaps += st.gaps;
         summary.lost += target.saturating_sub(st.last_seq);
         summary.mirror_errors += st.verifier_errors;
-        summary.out_of_filter += st.out_of_filter;
         if let Some(m) = st.verifier {
-            let _ = st.global_idx;
-            summary
-                .verifier_solutions
-                .push((m.seq(), m.solution(), st.filter));
+            summary.verifier_solutions.push((m.seq(), m.solution()));
         }
     }
     Ok(summary)
@@ -509,12 +447,7 @@ struct SubStart {
     checkpoint: Option<(u64, Vec<u32>)>,
 }
 
-fn connect_sub(
-    addr: &str,
-    after_seq: u64,
-    filter: SubFilter,
-    bootstrap: bool,
-) -> Result<SubStart, NetError> {
+fn connect_sub(addr: &str, after_seq: u64, bootstrap: bool) -> Result<SubStart, NetError> {
     // The session cap (or a full accept backlog during a 10k-connection
     // ramp) answers Busy: back off briefly and retry a few times.
     let mut tries = 0;
@@ -530,7 +463,7 @@ fn connect_sub(
             } else {
                 (after_seq, None)
             };
-            let sub = client.subscribe_filtered(resume, filter)?;
+            let sub = client.subscribe(resume)?;
             Ok(SubStart {
                 sub,
                 seq: resume,
@@ -564,10 +497,101 @@ fn record_rtt(shed: bool, us: u64, latency_us: &Histogram, busy_us: &Histogram) 
     }
 }
 
+/// One writer's share of the vertex pairs, and what it knows of them.
+/// Writer `class` of `of` touches only the unordered pairs `{a, b}`
+/// with `(a + b) % of == class`, so no writer can invalidate another
+/// writer's update. It removes only pairs it inserted and saw applied,
+/// and never inserts a pair that is live, in flight, or that the server
+/// refused as already present — so the only rejection left is an
+/// insert of an edge the served graph held before the run.
+struct PairBook {
+    class: u64,
+    of: u64,
+    vertices: u32,
+    /// Pairs inserted and seen applied: the only removable ones.
+    live: Vec<(u32, u32)>,
+    /// Pairs not to insert: live, in flight, or refused as present.
+    taken: HashSet<(u32, u32)>,
+}
+
+impl PairBook {
+    fn new(class: usize, of: usize, vertices: u32) -> PairBook {
+        PairBook {
+            class: class as u64,
+            of: of as u64,
+            vertices,
+            live: Vec::new(),
+            taken: HashSet::new(),
+        }
+    }
+
+    /// A pair of this class that is not taken, or `None` if
+    /// [`MAX_DRAWS`] draws found none.
+    fn free_pair(&self, rng: &mut SmallRng) -> Option<(u32, u32)> {
+        let n = u64::from(self.vertices);
+        if n < 2 {
+            return None;
+        }
+        for _ in 0..MAX_DRAWS {
+            let a = rng.gen_range(0..n);
+            // `a`'s partners in this class: b ≡ class − a (mod of).
+            let first = (self.class + self.of - a % self.of) % self.of;
+            if first >= n {
+                continue;
+            }
+            let b = first + self.of * rng.gen_range(0..(n - 1 - first) / self.of + 1);
+            // Both ids are below `vertices`, a u32.
+            let pair = (a.min(b) as u32, a.max(b) as u32);
+            if a != b && !self.taken.contains(&pair) {
+                return Some(pair);
+            }
+        }
+        None
+    }
+
+    /// Draws up to `take` updates, half of them removals while any
+    /// pair is removable. Pairs inserted in this batch become removable
+    /// only once [`PairBook::settle`] sees their verdicts. Returns fewer
+    /// when the class has no free pair and nothing to remove.
+    fn next_batch(&mut self, rng: &mut SmallRng, take: usize) -> Vec<Update> {
+        let mut batch = Vec::with_capacity(take);
+        while batch.len() < take {
+            let remove = !self.live.is_empty() && rng.gen_bool(0.5);
+            match if remove { None } else { self.free_pair(rng) } {
+                Some(pair) => {
+                    self.taken.insert(pair);
+                    batch.push(Update::InsertEdge(pair.0, pair.1));
+                }
+                None if !self.live.is_empty() => {
+                    let (a, b) = self.live.swap_remove(rng.gen_range(0..self.live.len()));
+                    batch.push(Update::RemoveEdge(a, b));
+                }
+                None => break,
+            }
+        }
+        batch
+    }
+
+    /// Records a batch's verdicts: an applied insert becomes removable,
+    /// a refused one stays taken (the edge was already present), and a
+    /// removal frees its pair either way (the edge is gone).
+    fn settle(&mut self, updates: &[Update], verdicts: &[Result<u64, EngineError>]) {
+        for (u, v) in updates.iter().zip(verdicts) {
+            match *u {
+                Update::InsertEdge(a, b) if v.is_ok() => self.live.push((a, b)),
+                Update::RemoveEdge(a, b) => {
+                    self.taken.remove(&(a, b));
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
 fn writer_thread(
     addr: &str,
     n: usize,
-    vertices: u32,
+    mut book: PairBook,
     batch: usize,
     seed: u64,
     latency_us: &Histogram,
@@ -582,22 +606,14 @@ fn writer_thread(
     };
     let mut sent = 0usize;
     while sent < n {
-        let take = batch.min(n - sent);
-        let updates: Vec<Update> = (0..take)
-            .map(|_| {
-                let a = rng.gen_range(0..vertices);
-                let mut b = rng.gen_range(0..vertices - 1);
-                if b >= a {
-                    b += 1;
-                }
-                if rng.gen_range(0..2u32) == 0 {
-                    Update::InsertEdge(a, b)
-                } else {
-                    Update::RemoveEdge(a, b)
-                }
-            })
-            .collect();
-        sent += take;
+        let updates = book.next_batch(&mut rng, batch.min(n - sent));
+        if updates.is_empty() {
+            return Err(NetError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a writer's class of vertex pairs is full: too few vertices for the run",
+            )));
+        }
+        sent += updates.len();
         // Retry the same batch through Busy sheds: admission control
         // parks the client, never the combining submitter inside the
         // server.
@@ -606,12 +622,13 @@ fn writer_thread(
             match client.apply_batch(updates.clone()) {
                 Ok(verdicts) => {
                     record_rtt(false, t.elapsed().as_micros() as u64, latency_us, busy_us);
-                    for v in verdicts {
+                    for v in &verdicts {
                         match v {
                             Ok(_) => out.applied += 1,
                             Err(_) => out.rejected += 1,
                         }
                     }
+                    book.settle(&updates, &verdicts);
                     break;
                 }
                 Err(NetError::Busy { .. }) => {
@@ -685,11 +702,49 @@ mod tests {
         assert!(shed.max >= 50_000);
     }
 
+    /// Three writers' books, settled against a shared edge set standing
+    /// in for the server: each writer stays in its own class, and the
+    /// only rejections are inserts of edges the start graph held.
     #[test]
-    fn filter_assignment_alternates_only_when_filtering() {
-        let f = SubFilter::Shard { id: 0, of: 2 };
-        assert!(filter_for(f, 0).is_all());
-        assert_eq!(filter_for(f, 1), f);
-        assert!(filter_for(SubFilter::All, 1).is_all());
+    fn writers_send_only_updates_that_apply() {
+        let vertices = 60u32;
+        let start: HashSet<(u32, u32)> = (0..vertices - 1).map(|v| (v, v + 1)).collect();
+        let mut edges = start.clone();
+        let mut books: Vec<PairBook> = (0..3).map(|w| PairBook::new(w, 3, vertices)).collect();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let (mut applied, mut refused) = (0, 0);
+        for round in 0..400 {
+            let w = round % books.len();
+            let updates = books[w].next_batch(&mut rng, 8);
+            assert_eq!(updates.len(), 8);
+            let verdicts: Vec<Result<u64, EngineError>> = updates
+                .iter()
+                .map(|u| {
+                    let (a, b, ok) = match *u {
+                        Update::InsertEdge(a, b) => (a, b, edges.insert((a, b))),
+                        Update::RemoveEdge(a, b) => (a, b, edges.remove(&(a, b))),
+                        _ => unreachable!("writers send edge updates only"),
+                    };
+                    assert!(a < b && b < vertices);
+                    assert_eq!((a + b) as usize % 3, w, "pair outside the writer's class");
+                    if ok {
+                        applied += 1;
+                        Ok(0)
+                    } else {
+                        assert!(
+                            matches!(u, Update::InsertEdge(..)) && start.contains(&(a, b)),
+                            "{u:?} was rejected"
+                        );
+                        refused += 1;
+                        Err(EngineError::DuplicateEdge(a, b))
+                    }
+                })
+                .collect();
+            books[w].settle(&updates, &verdicts);
+        }
+        assert!(
+            applied > 0 && refused <= start.len(),
+            "{applied} / {refused}"
+        );
     }
 }

@@ -8,8 +8,6 @@
 //! The *protocol* version ([`PROTO_VERSION`]) rides only in the
 //! `Hello` exchange: a session starts only when both peers speak the
 //! same one. The per-message word stays at the codec version.
-//! `Subscribe` writes [`SubFilter::All`] as the absence of a filter,
-//! so an unfiltered subscription carries no filter bytes.
 
 use crate::error::NetError;
 use dynamis_core::{EngineError, SolutionDelta};
@@ -24,94 +22,6 @@ use dynamis_serve::ServiceStats;
 /// version with [`ERR_VERSION`]; the client in turn refuses a server
 /// that answers with a different version ([`NetError::Handshake`]).
 pub const PROTO_VERSION: u16 = 2;
-
-/// What subset of the vertex space a subscription streams. The hub
-/// masks every delta against the filter before writing it, drops
-/// per-entry frames that mask to empty (coalescing the suppressed tail
-/// into one empty position-marker delta so the subscriber's sequence
-/// number still tracks the head), and masks checkpoint reseeds the
-/// same way — so a filtered subscriber never receives an out-of-filter
-/// vertex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SubFilter {
-    /// The whole vertex space.
-    #[default]
-    All,
-    /// The half-open vertex-id range `lo..hi`.
-    VertexRange {
-        /// First vertex id in the range.
-        lo: u32,
-        /// One past the last vertex id in the range.
-        hi: u32,
-    },
-    /// The modulo partition `v % of == id` — the stream a client
-    /// mirroring one of `of` equal hash shards wants.
-    Shard {
-        /// Shard index in `0..of`.
-        id: u32,
-        /// Shard count (> 0).
-        of: u32,
-    },
-}
-
-impl SubFilter {
-    /// Whether vertex `v` is inside the filter.
-    pub fn accepts(&self, v: u32) -> bool {
-        match self {
-            SubFilter::All => true,
-            SubFilter::VertexRange { lo, hi } => *lo <= v && v < *hi,
-            SubFilter::Shard { id, of } => *of > 0 && v % *of == *id,
-        }
-    }
-
-    /// Whether this is the trivial whole-space filter.
-    pub fn is_all(&self) -> bool {
-        matches!(self, SubFilter::All)
-    }
-}
-
-impl std::fmt::Display for SubFilter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubFilter::All => write!(f, "all"),
-            SubFilter::VertexRange { lo, hi } => write!(f, "range:{lo}..{hi}"),
-            SubFilter::Shard { id, of } => write!(f, "shard:{id}/{of}"),
-        }
-    }
-}
-
-impl std::str::FromStr for SubFilter {
-    type Err = String;
-
-    /// Parses the CLI spelling: `all`, `range:LO..HI`, or `shard:ID/OF`.
-    fn from_str(s: &str) -> Result<Self, String> {
-        if s == "all" {
-            return Ok(SubFilter::All);
-        }
-        if let Some(spec) = s.strip_prefix("range:") {
-            if let Some((lo, hi)) = spec.split_once("..") {
-                let (lo, hi) = (lo.parse().ok(), hi.parse().ok());
-                if let (Some(lo), Some(hi)) = (lo, hi) {
-                    if lo < hi {
-                        return Ok(SubFilter::VertexRange { lo, hi });
-                    }
-                }
-            }
-        } else if let Some(spec) = s.strip_prefix("shard:") {
-            if let Some((id, of)) = spec.split_once('/') {
-                let (id, of) = (id.parse().ok(), of.parse().ok());
-                if let (Some(id), Some(of)) = (id, of) {
-                    if of > 0 && id < of {
-                        return Ok(SubFilter::Shard { id, of });
-                    }
-                }
-            }
-        }
-        Err(format!(
-            "bad filter `{s}` (expected `all`, `range:LO..HI`, or `shard:ID/OF`)"
-        ))
-    }
-}
 
 /// One client → server message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,9 +54,6 @@ pub enum Request {
         /// Last sequence number the client has already applied (0 for
         /// a fresh mirror).
         after_seq: u64,
-        /// Vertex subset to stream (a trailing field;
-        /// [`SubFilter::All`] is written as its absence).
-        filter: SubFilter,
     },
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
@@ -302,59 +209,13 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
         Request::Len => out.push(5),
         Request::Snapshot => out.push(6),
         Request::Stats => out.push(7),
-        Request::Subscribe { after_seq, filter } => {
+        Request::Subscribe { after_seq } => {
             out.push(8);
             wire::put_u64(out, *after_seq);
-            // Trailing field: All is written as absence.
-            match filter {
-                SubFilter::All => {}
-                SubFilter::VertexRange { lo, hi } => {
-                    out.push(1);
-                    wire::put_u32(out, *lo);
-                    wire::put_u32(out, *hi);
-                }
-                SubFilter::Shard { id, of } => {
-                    out.push(2);
-                    wire::put_u32(out, *id);
-                    wire::put_u32(out, *of);
-                }
-            }
         }
         Request::Ping => out.push(9),
         Request::Metrics => out.push(10),
         Request::Bootstrap => out.push(11),
-    }
-}
-
-/// Decodes the trailing filter of a `Subscribe` body: absence means
-/// [`SubFilter::All`]. Degenerate filters (an empty range, a zero
-/// or out-of-range shard modulus) are refused as malformed rather than
-/// silently streaming nothing.
-fn take_sub_filter(r: &mut Reader<'_>) -> Result<SubFilter, WireError> {
-    if r.remaining() == 0 {
-        return Ok(SubFilter::All);
-    }
-    match r.take_u8("subscribe filter tag")? {
-        1 => {
-            let lo = r.take_u32("filter range lo")?;
-            let hi = r.take_u32("filter range hi")?;
-            if lo >= hi {
-                return Err(WireError::Malformed("empty filter range"));
-            }
-            Ok(SubFilter::VertexRange { lo, hi })
-        }
-        2 => {
-            let id = r.take_u32("filter shard id")?;
-            let of = r.take_u32("filter shard count")?;
-            if of == 0 || id >= of {
-                return Err(WireError::Malformed("filter shard out of range"));
-            }
-            Ok(SubFilter::Shard { id, of })
-        }
-        tag => Err(WireError::UnknownTag {
-            what: "subscribe filter",
-            tag: tag as u16,
-        }),
     }
 }
 
@@ -384,7 +245,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
         7 => Request::Stats,
         8 => Request::Subscribe {
             after_seq: r.take_u64("subscribe seq")?,
-            filter: take_sub_filter(&mut r)?,
         },
         9 => Request::Ping,
         10 => Request::Metrics,
@@ -591,50 +451,26 @@ mod tests {
         decode_response(&buf).expect("response roundtrip")
     }
 
-    #[test]
-    fn subscribe_filters_roundtrip() {
-        for filter in [
-            SubFilter::All,
-            SubFilter::VertexRange { lo: 10, hi: 500 },
-            SubFilter::Shard { id: 3, of: 8 },
-        ] {
-            let req = Request::Subscribe {
-                after_seq: 42,
-                filter,
-            };
-            assert_eq!(roundtrip_request(&req), req);
-        }
-    }
-
+    /// The filterless bytes every peer sends (codec word, tag 8,
+    /// `after_seq`, nothing after) decode as a `Subscribe` to all deltas.
     #[test]
     fn legacy_filterless_subscribe_decodes_as_all() {
-        // A Subscribe of exactly codec word, tag 8 and after_seq — no
-        // filter bytes — is how the All filter is encoded.
         let mut buf = Vec::new();
         wire::put_u16(&mut buf, wire::WIRE_VERSION);
         buf.push(8);
         wire::put_u64(&mut buf, 7);
         assert_eq!(
             decode_request(&buf).unwrap(),
-            Request::Subscribe {
-                after_seq: 7,
-                filter: SubFilter::All,
-            }
+            Request::Subscribe { after_seq: 7 }
         );
     }
 
+    /// A `Subscribe` encodes to exactly those filterless bytes: no byte
+    /// follows `after_seq`.
     #[test]
     fn all_filter_encodes_byte_identically_to_legacy() {
-        // Pins the All filter's encoding as absence: no byte follows
-        // after_seq.
         let mut buf = Vec::new();
-        encode_request(
-            &Request::Subscribe {
-                after_seq: 7,
-                filter: SubFilter::All,
-            },
-            &mut buf,
-        );
+        encode_request(&Request::Subscribe { after_seq: 7 }, &mut buf);
         let mut legacy = Vec::new();
         wire::put_u16(&mut legacy, wire::WIRE_VERSION);
         legacy.push(8);
@@ -642,25 +478,27 @@ mod tests {
         assert_eq!(buf, legacy);
     }
 
+    /// Any byte after `after_seq` is malformed — including the filter
+    /// bytes an older peer appended (tag 1 range, tag 2 shard).
     #[test]
-    fn degenerate_filters_are_refused() {
-        let mut empty_range = Vec::new();
-        wire::put_u16(&mut empty_range, wire::WIRE_VERSION);
-        empty_range.push(8);
-        wire::put_u64(&mut empty_range, 0);
-        empty_range.push(1);
-        wire::put_u32(&mut empty_range, 9);
-        wire::put_u32(&mut empty_range, 9);
-        assert!(decode_request(&empty_range).is_err());
-
-        let mut zero_mod = Vec::new();
-        wire::put_u16(&mut zero_mod, wire::WIRE_VERSION);
-        zero_mod.push(8);
-        wire::put_u64(&mut zero_mod, 0);
-        zero_mod.push(2);
-        wire::put_u32(&mut zero_mod, 0);
-        wire::put_u32(&mut zero_mod, 0);
-        assert!(decode_request(&zero_mod).is_err());
+    fn subscribe_with_trailing_bytes_is_refused() {
+        let mut tails: Vec<Vec<u8>> = vec![vec![0], vec![0xFF]];
+        for (tag, a, b) in [(1u8, 0u32, 500u32), (2, 0, 2)] {
+            let mut tail = vec![tag];
+            wire::put_u32(&mut tail, a);
+            wire::put_u32(&mut tail, b);
+            tails.push(tail);
+        }
+        for tail in tails {
+            let mut buf = Vec::new();
+            encode_request(&Request::Subscribe { after_seq: 7 }, &mut buf);
+            buf.extend_from_slice(&tail);
+            assert_eq!(
+                decode_request(&buf),
+                Err(WireError::TrailingBytes(tail.len())),
+                "tail {tail:?}"
+            );
+        }
     }
 
     #[test]
@@ -678,31 +516,5 @@ mod tests {
             members: vec![1, 5, 9, 1000],
         };
         assert_eq!(roundtrip_response(&chunk), chunk);
-    }
-
-    #[test]
-    fn filter_accepts_matches_definition() {
-        assert!(SubFilter::All.accepts(0));
-        let r = SubFilter::VertexRange { lo: 10, hi: 20 };
-        assert!(r.accepts(10) && r.accepts(19));
-        assert!(!r.accepts(9) && !r.accepts(20));
-        let s = SubFilter::Shard { id: 1, of: 4 };
-        assert!(s.accepts(5) && s.accepts(9));
-        assert!(!s.accepts(4) && !s.accepts(0));
-    }
-
-    #[test]
-    fn filter_display_fromstr_roundtrip() {
-        for f in [
-            SubFilter::All,
-            SubFilter::VertexRange { lo: 0, hi: 128 },
-            SubFilter::Shard { id: 0, of: 2 },
-        ] {
-            assert_eq!(f.to_string().parse::<SubFilter>().unwrap(), f);
-        }
-        assert!("range:9..9".parse::<SubFilter>().is_err());
-        assert!("shard:2/2".parse::<SubFilter>().is_err());
-        assert!("shard:0/0".parse::<SubFilter>().is_err());
-        assert!("bogus".parse::<SubFilter>().is_err());
     }
 }

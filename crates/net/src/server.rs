@@ -1,15 +1,15 @@
-//! The server: a TCP acceptor, thread-per-connection sessions, and a
-//! pool of fan-out hub workers that own every subscription socket.
+//! The server: a TCP acceptor, thread-per-connection sessions, and one
+//! fan-out hub thread that owns every subscription socket.
 //!
 //! ```text
 //!            accept            Hello / requests
 //!  clients ─────────► acceptor ───► session threads ──► IngestHandle / ReaderHandle
-//!                                        │ Subscribe (round-robin)
+//!                                        │ Subscribe
 //!                                        ▼ (socket handoff)
-//!                              hub workers 0..N ──► SharedLog::tail_after
-//!                                        │  encode once (shared frame
-//!                                        ▼  cache), write per worker
-//!                                  subscription sockets (10k+)
+//!                                   hub thread ──► SharedLog::tail_after
+//!                                        │  encode each entry once
+//!                                        ▼  (hub-owned frame cache)
+//!                                  subscription sockets
 //! ```
 //!
 //! Sessions are cheap threads because they are short-lived or mostly
@@ -18,48 +18,38 @@
 //! blocking ingest path behind the [`Admission`] gate. A connection
 //! that has not completed `Hello` within a few seconds is refused with
 //! `ERR_ORDER` and closed, so silent sockets cannot hold every
-//! [`NetConfig::max_sessions`] slot. A `Subscribe`
-//! converts the connection: the session replies, hands the socket to
-//! one of the hub workers (round-robin), and exits — so ten thousand
-//! subscribers cost ten thousand sockets owned by [`NetConfig::hubs`]
-//! threads, not ten thousand threads.
+//! [`NetConfig::max_sessions`] slot. A `Subscribe` converts the
+//! connection: the session replies, hands the socket to the hub, and
+//! exits — so every subscriber is a socket the hub owns, not a thread.
+//! The hub runs on its own thread, so fan-out never runs on the
+//! session thread whose submit combined the write.
 //!
-//! Each hub worker tails the log independently, but every entry is
-//! encoded **once** process-wide: workers pull complete frames from a
-//! shared seq-keyed cache, so adding workers multiplies write
-//! bandwidth (blocking writes overlap across workers) without
-//! multiplying encode work. Caught-up unfiltered subscribers ride a
-//! per-round blob of cached frames; stragglers, filtered subscribers,
-//! and post-checkpoint rebuilds take a per-subscriber
-//! [`SharedLog::tail_after`] path until they reach the worker's
-//! position. A subscriber that cannot absorb writes within the write
-//! timeout is dropped — it reconnects and resumes from its last
-//! applied sequence number, losing nothing. A subscriber that *can*
-//! absorb writes but keeps falling further behind (a slow crawl inside
-//! the log window) is force-reseeded with a fresh checkpoint after
-//! [`NetConfig::straggler_rounds`] consecutive saturated rounds rather
-//! than being allowed to lag forever.
+//! The hub tails the log and encodes every entry **once**: it keeps
+//! complete frames in a seq-keyed cache bounded by the log window.
+//! Caught-up subscribers ride a per-round blob of those frames;
+//! stragglers and post-checkpoint rebuilds take a per-subscriber
+//! [`SharedLog::tail_after`] path, reusing the cached frames, until
+//! they reach the hub's position. A subscriber that cannot absorb
+//! writes within the write timeout is dropped — it reconnects and
+//! resumes from its last applied sequence number, losing nothing. A
+//! subscriber that *can* absorb writes but keeps falling further behind
+//! (a slow crawl inside the log window) is force-reseeded with a fresh
+//! checkpoint after [`NetConfig::straggler_rounds`] consecutive
+//! saturated rounds rather than being allowed to lag forever.
 //!
-//! Hub workers never poll. Each registers its thread with the log
+//! The hub never polls. It registers its thread with the log
 //! ([`SharedLog::wake_on_publish`]) and parks until one of three wake
 //! sources unparks it: a publish, a session handing it a subscriber,
-//! or shutdown. A wake that lands between a worker's last check and
-//! its park makes the park return at once, so none is lost; the park's
+//! or shutdown. A wake that lands between the hub's last check and its
+//! park makes the park return at once, so none is lost; the park's
 //! long timeout is only a safety net.
-//!
-//! Filtered subscriptions ([`SubFilter`]) are masked hub-side: deltas
-//! are intersected with the filter, entries that mask to empty are
-//! suppressed (coalesced into one empty position-marker delta per
-//! round so the subscriber's sequence number still tracks the head),
-//! and checkpoint reseeds are masked the same way.
 
 use crate::admission::Admission;
 use crate::frame::{read_frame, write_frame, FrameBuffer};
 use crate::proto::{
-    decode_request, encode_response, Request, Response, SubFilter, ERR_MALFORMED, ERR_ORDER,
-    ERR_SHUTDOWN, ERR_VERSION, PROTO_VERSION,
+    decode_request, encode_response, Request, Response, ERR_MALFORMED, ERR_ORDER, ERR_SHUTDOWN,
+    ERR_VERSION, PROTO_VERSION,
 };
-use dynamis_core::SolutionDelta;
 use dynamis_obs::{Gauge, Stage};
 use dynamis_serve::{
     IngestHandle, LogTail, ReaderHandle, SeqEntry, ServeError, ServiceHandle, ServiceStats,
@@ -68,7 +58,7 @@ use dynamis_serve::{
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -84,6 +74,13 @@ const HELLO_DEADLINE: Duration = Duration::from_secs(3);
 /// the hub, so this bounds only the cost of a wake that never comes;
 /// nothing waits for it in normal operation.
 const HUB_PARK_SAFETY_NET: Duration = Duration::from_millis(250);
+/// Maximum solution members per [`Response::BootstrapChunk`] frame when
+/// streaming a snapshot cold-start: 64Ki members = 256 KiB payloads,
+/// far under the frame cap.
+const BOOTSTRAP_CHUNK: usize = 1 << 16;
+/// How long shutdown keeps flushing subscribers toward the final log
+/// head before giving up on the stragglers.
+const FLUSH_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Tuning knobs for [`NetServer::bind`].
 #[derive(Debug, Clone, Copy)]
@@ -102,24 +99,12 @@ pub struct NetConfig {
     /// Per-subscriber write timeout; a subscriber that cannot absorb a
     /// round's deltas within it is dropped (it reconnects and resumes).
     pub write_timeout: Duration,
-    /// How long shutdown keeps flushing subscribers toward the final
-    /// log head before giving up on the stragglers.
-    pub flush_timeout: Duration,
-    /// Fan-out hub workers. Subscribers are assigned round-robin at
-    /// `Subscribe`; each worker tails the log independently, sharing
-    /// the encode-once frame cache, so blocking subscriber writes
-    /// overlap across workers. An idle worker parks until a publish, a
-    /// subscriber handoff or shutdown wakes it. 0 is treated as 1.
-    pub hubs: usize,
     /// Consecutive saturated straggler rounds (a full `sub_batch`
     /// advance that still leaves the subscriber more than `sub_batch`
     /// behind the head) before the hub force-reseeds the subscriber
     /// with a fresh checkpoint instead of letting it crawl forever.
     /// 0 disables forced reseeds.
     pub straggler_rounds: u32,
-    /// Maximum solution members per [`Response::BootstrapChunk`] frame
-    /// when streaming a snapshot cold-start. 0 is treated as 1.
-    pub bootstrap_chunk: usize,
 }
 
 impl Default for NetConfig {
@@ -131,11 +116,7 @@ impl Default for NetConfig {
             shed_low: 256,
             sub_batch: 256,
             write_timeout: Duration::from_secs(2),
-            flush_timeout: Duration::from_secs(30),
-            hubs: 1,
             straggler_rounds: 16,
-            // 64Ki members = 256 KiB payloads, far under the frame cap.
-            bootstrap_chunk: 1 << 16,
         }
     }
 }
@@ -175,8 +156,8 @@ struct NetCounters {
 
 /// Cached telemetry handles for the net layer: one latency stage per
 /// request type (gated timers — see [`dynamis_obs::Stage`]), the hub's
-/// encode/write stages, and the fan-out lag gauges the hub workers
-/// refresh each progressing round.
+/// encode/write stages, and the fan-out lag gauges the hub refreshes
+/// each progressing round.
 struct NetObs {
     req_hello: Stage,
     req_apply: Stage,
@@ -235,58 +216,47 @@ impl NetObs {
     }
 }
 
-/// Encode-once frame cache shared by every hub worker: complete frames
-/// (length prefix + payload) keyed by entry sequence number, so N
-/// workers tailing the same log encode each delta exactly once.
+/// The hub's encode-once frame cache: complete frames (length prefix +
+/// payload) keyed by entry sequence number, so a straggler replaying
+/// entries the caught-up blob already carried reuses their bytes.
 /// Bounded to the log's retained window — anything older would come
 /// back as a checkpoint anyway, never as an entry.
 struct FrameCache {
-    frames: Mutex<BTreeMap<u64, Arc<Vec<u8>>>>,
+    frames: BTreeMap<u64, Vec<u8>>,
     cap: usize,
 }
 
 impl FrameCache {
     fn new(cap: usize) -> FrameCache {
         FrameCache {
-            frames: Mutex::new(BTreeMap::new()),
+            frames: BTreeMap::new(),
             cap: cap.max(1),
         }
     }
 
     /// The complete wire frame for `e`, encoding it on first request.
-    /// Encoding happens outside the lock; a racing worker's insert
-    /// wins and the loser adopts it (the bytes are identical).
-    fn frame_for(&self, e: &SeqEntry) -> Arc<Vec<u8>> {
-        if let Some(f) = self.frames.lock().unwrap().get(&e.seq) {
-            return Arc::clone(f);
+    fn frame_for(&mut self, e: &SeqEntry) -> &[u8] {
+        if !self.frames.contains_key(&e.seq) {
+            let mut payload = Vec::new();
+            encode_response(
+                &Response::Delta {
+                    seq: e.seq,
+                    delta: e.delta.clone(),
+                },
+                &mut payload,
+            );
+            let mut frame = Vec::with_capacity(payload.len() + 4);
+            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            // Evict before inserting, so the frame returned below is
+            // never the one evicted.
+            if self.frames.len() >= self.cap {
+                self.frames.pop_first();
+            }
+            self.frames.insert(e.seq, frame);
         }
-        let mut payload = Vec::new();
-        encode_response(
-            &Response::Delta {
-                seq: e.seq,
-                delta: e.delta.clone(),
-            },
-            &mut payload,
-        );
-        let mut frame = Vec::with_capacity(payload.len() + 4);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let mut g = self.frames.lock().unwrap();
-        let f = Arc::clone(g.entry(e.seq).or_insert_with(|| Arc::new(frame)));
-        while g.len() > self.cap {
-            g.pop_first();
-        }
-        f
+        &self.frames[&e.seq]
     }
-}
-
-/// Per-hub-worker fan-out lag aggregate, folded into the global
-/// `net_sub_lag_max` / `net_sub_lag_mean` gauges after each refresh.
-#[derive(Default)]
-struct HubLag {
-    max: AtomicU64,
-    sum: AtomicU64,
-    count: AtomicU64,
 }
 
 struct Shared {
@@ -298,13 +268,6 @@ struct Shared {
     obs: NetObs,
     cfg: NetConfig,
     stop: AtomicBool,
-    frames: FrameCache,
-    hub_lag: Vec<HubLag>,
-    /// Round-robin cursor for assigning new subscribers to hub workers.
-    rr: AtomicUsize,
-    /// Process-wide subscriber id source: ids name the per-subscriber
-    /// lag gauges, so they must be unique *across* hub workers.
-    next_sub_id: AtomicU64,
 }
 
 impl Shared {
@@ -319,29 +282,12 @@ impl Shared {
         s.mean_sub_lag = self.obs.lag_mean.get();
         s
     }
-
-    /// Folds every worker's lag slot into the global gauges.
-    fn refresh_lag_gauges(&self) {
-        let mut max = 0u64;
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for slot in &self.hub_lag {
-            max = max.max(slot.max.load(Ordering::Relaxed));
-            sum += slot.sum.load(Ordering::Relaxed);
-            count += slot.count.load(Ordering::Relaxed);
-        }
-        self.obs.lag_max.set(max);
-        self.obs.lag_mean.set(sum.checked_div(count).unwrap_or(0));
-    }
 }
 
-/// A subscription socket owned by a hub worker, positioned at `seq`.
+/// A subscription socket owned by the hub, positioned at `seq`.
 struct Sub {
     stream: TcpStream,
     seq: u64,
-    /// Vertex subset this subscriber streams; deltas are masked against
-    /// it before writing.
-    filter: SubFilter,
     /// Consecutive saturated straggler rounds (see
     /// [`NetConfig::straggler_rounds`]).
     behind: u32,
@@ -350,9 +296,9 @@ struct Sub {
     lag: Option<SubLag>,
 }
 
-/// The way into one hub worker: its handoff channel, and its thread,
-/// which the handing-off session unparks so the hub installs the new
-/// subscriber at once.
+/// The way into the hub: its handoff channel, and its thread, which the
+/// handing-off session unparks so the hub installs the new subscriber
+/// at once.
 #[derive(Clone)]
 struct HubDoor {
     tx: mpsc::Sender<Sub>,
@@ -382,7 +328,7 @@ impl Drop for SubLag {
     }
 }
 
-/// Entry point: binds a listener and spawns the acceptor + hub workers.
+/// Entry point: binds a listener and spawns the acceptor and the hub.
 pub struct NetServer;
 
 impl NetServer {
@@ -397,8 +343,6 @@ impl NetServer {
     ) -> io::Result<NetServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let hubs_n = cfg.hubs.max(1);
-        let window = backend.log.window();
         let shared = Arc::new(Shared {
             ingest: backend.ingest,
             log: backend.log,
@@ -408,36 +352,27 @@ impl NetServer {
             obs: NetObs::new(),
             cfg,
             stop: AtomicBool::new(false),
-            frames: FrameCache::new(window),
-            hub_lag: (0..hubs_n).map(|_| HubLag::default()).collect(),
-            rr: AtomicUsize::new(0),
-            next_sub_id: AtomicU64::new(0),
         });
-        let mut doors = Vec::with_capacity(hubs_n);
-        let mut hubs = Vec::with_capacity(hubs_n);
-        for i in 0..hubs_n {
-            let (tx, rx) = mpsc::channel::<Sub>();
-            let hub_shared = Arc::clone(&shared);
-            let hub = thread::Builder::new()
-                .name(format!("dynamis-net-hub-{i}"))
-                .spawn(move || hub_loop(&hub_shared, rx, i))
-                .expect("failed to spawn net hub thread");
-            doors.push(HubDoor {
-                tx,
-                thread: hub.thread().clone(),
-            });
-            hubs.push(hub);
-        }
+        let (tx, rx) = mpsc::channel::<Sub>();
+        let hub_shared = Arc::clone(&shared);
+        let hub = thread::Builder::new()
+            .name("dynamis-net-hub".into())
+            .spawn(move || hub_loop(&hub_shared, rx))
+            .expect("failed to spawn net hub thread");
+        let door = HubDoor {
+            tx,
+            thread: hub.thread().clone(),
+        };
         let acc_shared = Arc::clone(&shared);
         let acceptor = thread::Builder::new()
             .name("dynamis-net-accept".into())
-            .spawn(move || accept_loop(listener, &acc_shared, doors))
+            .spawn(move || accept_loop(listener, &acc_shared, door))
             .expect("failed to spawn net acceptor thread");
         Ok(NetServerHandle {
             local_addr,
             shared,
             acceptor,
-            hubs,
+            hub,
         })
     }
 }
@@ -449,7 +384,7 @@ pub struct NetServerHandle {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    hubs: Vec<JoinHandle<()>>,
+    hub: JoinHandle<()>,
 }
 
 impl NetServerHandle {
@@ -472,20 +407,16 @@ impl NetServerHandle {
     /// they are joined here).
     pub fn shutdown(self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        // Idle hubs are parked: wake each to see the stop flag.
-        for hub in &self.hubs {
-            hub.thread().unpark();
-        }
+        // An idle hub is parked: wake it to see the stop flag.
+        self.hub.thread().unpark();
         // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         let _ = self.acceptor.join();
-        for hub in self.hubs {
-            let _ = hub.join();
-        }
+        let _ = self.hub.join();
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, doors: Vec<HubDoor>) {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, door: HubDoor) {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let stream = match listener.accept() {
@@ -510,10 +441,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, doors: Vec<HubDoor>)
             continue;
         }
         let s = Arc::clone(shared);
-        let hub_doors = doors.clone();
+        let hub_door = door.clone();
         match thread::Builder::new()
             .name("dynamis-net-session".into())
-            .spawn(move || session_loop(stream, &s, hub_doors))
+            .spawn(move || session_loop(stream, &s, hub_door))
         {
             Ok(j) => sessions.push(j),
             // The stream died with the unspawned closure; all we can
@@ -549,7 +480,7 @@ fn send(stream: &mut TcpStream, resp: &Response, payload: &mut Vec<u8>, out: &mu
     stream.write_all(out).is_ok()
 }
 
-fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, doors: Vec<HubDoor>) {
+fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, door: HubDoor) {
     shared.counters.sessions.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(SESSION_TICK));
@@ -705,7 +636,7 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, doors: Vec<HubDoor>
                     }
                 }
                 Request::Stats => Response::Stats(Box::new(shared.stats())),
-                Request::Subscribe { after_seq, filter } => {
+                Request::Subscribe { after_seq } => {
                     let ok = send(
                         &mut stream,
                         &Response::Subscribed {
@@ -715,19 +646,16 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, doors: Vec<HubDoor>
                         &mut out,
                     );
                     if ok {
-                        // Convert the connection: a hub worker (chosen
-                        // round-robin) owns the socket from here; this
-                        // session thread ends.
+                        // Convert the connection: the hub owns the
+                        // socket from here; this session thread ends.
                         let _ = stream.set_read_timeout(None);
                         shared
                             .counters
                             .subscriptions
                             .fetch_add(1, Ordering::Relaxed);
-                        let door = &doors[shared.rr.fetch_add(1, Ordering::Relaxed) % doors.len()];
                         let sub = Sub {
                             stream,
                             seq: after_seq,
-                            filter,
                             behind: 0,
                             lag: None,
                         };
@@ -815,8 +743,7 @@ fn stream_bootstrap(
         bytes.extend_from_slice(&v.to_le_bytes());
     }
     let crc = dynamis_durable::format::crc32(&bytes);
-    let chunk = shared.cfg.bootstrap_chunk.max(1);
-    let chunks = members.len().div_ceil(chunk) as u32;
+    let chunks = members.len().div_ceil(BOOTSTRAP_CHUNK) as u32;
     let meta = Response::BootstrapMeta {
         seq,
         members: members.len() as u64,
@@ -826,7 +753,7 @@ fn stream_bootstrap(
     if !send(stream, &meta, payload, out) {
         return false;
     }
-    for (index, slice) in members.chunks(chunk).enumerate() {
+    for (index, slice) in members.chunks(BOOTSTRAP_CHUNK).enumerate() {
         let frame = Response::BootstrapChunk {
             index: index as u32,
             members: slice.to_vec(),
@@ -845,54 +772,24 @@ fn shutdown_error() -> Response {
     }
 }
 
-/// Keeps only the vertices `filter` accepts. The trivial filter
-/// passes the vector through untouched.
-fn mask_solution(mut solution: Vec<u32>, filter: SubFilter) -> Vec<u32> {
-    if !filter.is_all() {
-        solution.retain(|&v| filter.accepts(v));
-    }
-    solution
-}
-
-/// Intersects one delta with a subscriber's filter (stats carry over
-/// unchanged — they describe the engine's work, not the subset).
-fn mask_delta(delta: &SolutionDelta, filter: SubFilter) -> SolutionDelta {
-    SolutionDelta {
-        entered: delta
-            .entered
-            .iter()
-            .copied()
-            .filter(|&v| filter.accepts(v))
-            .collect(),
-        left: delta
-            .left
-            .iter()
-            .copied()
-            .filter(|&v| filter.accepts(v))
-            .collect(),
-        stats: delta.stats,
-    }
-}
-
 /// Installs a freshly handed-off subscriber: socket options plus its
-/// per-subscriber lag gauge (`net_sub_lag_<id>`, unique across hub
-/// workers).
-fn install_sub(shared: &Shared, mut sub: Sub) -> Sub {
+/// per-subscriber lag gauge (`net_sub_lag_<id>`).
+fn install_sub(shared: &Shared, mut sub: Sub, id: u64) -> Sub {
     let _ = sub.stream.set_nodelay(true);
     let _ = sub.stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let id = shared.next_sub_id.fetch_add(1, Ordering::Relaxed) + 1;
     sub.lag = Some(SubLag::new(id));
     sub
 }
 
-/// One fan-out hub worker: owns the subscription sockets assigned to
-/// it, tails the log independently of its siblings, and shares the
-/// encode-once frame cache with them.
-fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
+/// The fan-out hub: owns every subscription socket, tails the log, and
+/// encodes each entry once through its frame cache.
+fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>) {
     // From here on every publish unparks this thread.
     let _wake = shared.log.wake_on_publish();
+    let mut frames = FrameCache::new(shared.log.window());
     let mut subs: Vec<Sub> = Vec::new();
-    let mut hub_seq = 0u64; // newest seq assembled into the shared blob
+    let mut next_sub_id = 0u64;
+    let mut hub_seq = 0u64; // newest seq assembled into the blob
     let mut blob = Vec::new(); // this round's frames (cache-encoded)
     let mut payload = Vec::new();
     let mut scratch = Vec::new();
@@ -901,12 +798,11 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
         // Install newly handed-off subscribers.
         let mut roster_changed = false;
         while let Ok(sub) = sub_rx.try_recv() {
-            subs.push(install_sub(shared, sub));
+            next_sub_id += 1;
+            subs.push(install_sub(shared, sub, next_sub_id));
             roster_changed = true;
         }
-        // Assemble this round's new entries into one write blob; the
-        // frames come from the shared cache, so across N workers each
-        // entry is encoded once.
+        // Assemble this round's new entries into one write blob.
         let blob_start = hub_seq;
         blob.clear();
         let t_encode = shared.obs.hub_encode.begin();
@@ -914,8 +810,7 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
             LogTail::UpToDate => {}
             LogTail::Entries(entries) => {
                 for e in &entries {
-                    let frame = shared.frames.frame_for(e);
-                    blob.extend_from_slice(&frame);
+                    blob.extend_from_slice(frames.frame_for(e));
                     hub_seq = e.seq;
                 }
             }
@@ -925,7 +820,7 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
                 // straggling subscriber gets its own checkpoint below.
                 dynamis_obs::event(
                     "checkpoint_reseed",
-                    format!("hub {hub_idx} jumped from seq {hub_seq} to {seq}"),
+                    format!("hub jumped from seq {hub_seq} to {seq}"),
                 );
                 hub_seq = seq;
             }
@@ -936,10 +831,8 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
         let mut progressed = hub_seq != blob_start;
         let before = subs.len();
         subs.retain_mut(|sub| {
-            if sub.seq == blob_start && !blob.is_empty() && sub.filter.is_all() {
-                // Caught-up fast path: one pre-encoded write. Filtered
-                // subscribers never ride it — their bytes are masked
-                // per-subscriber below.
+            if sub.seq == blob_start && !blob.is_empty() {
+                // Caught-up fast path: one pre-encoded write.
                 let t = shared.obs.sub_write.begin();
                 let wrote = sub.stream.write_all(&blob);
                 shared.obs.sub_write.end(t);
@@ -959,7 +852,7 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
                 return true;
             }
             // Straggler path: advance this subscriber individually.
-            match advance_sub(shared, sub, &mut payload, &mut scratch) {
+            match advance_sub(shared, &mut frames, sub, &mut payload, &mut scratch) {
                 Ok(advanced) => {
                     progressed |= advanced;
                     true
@@ -988,23 +881,23 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
                 max = max.max(lag);
                 sum += lag;
             }
-            let slot = &shared.hub_lag[hub_idx];
-            slot.max.store(max, Ordering::Relaxed);
-            slot.sum.store(sum, Ordering::Relaxed);
-            slot.count.store(subs.len() as u64, Ordering::Relaxed);
-            shared.refresh_lag_gauges();
+            shared.obs.lag_max.set(max);
+            shared
+                .obs
+                .lag_mean
+                .set(sum.checked_div(subs.len() as u64).unwrap_or(0));
         }
         if stopping {
             // Final flush: push every subscriber to the final head,
             // bounded by the flush timeout, then close everything.
             let head = shared.log.head();
-            let deadline = Instant::now() + shared.cfg.flush_timeout;
+            let deadline = Instant::now() + FLUSH_TIMEOUT;
             while subs.iter().any(|s| s.seq < head) && Instant::now() < deadline {
                 subs.retain_mut(|sub| {
                     if sub.seq >= head {
                         return true;
                     }
-                    match advance_sub(shared, sub, &mut payload, &mut scratch) {
+                    match advance_sub(shared, &mut frames, sub, &mut payload, &mut scratch) {
                         Ok(_) => true,
                         Err(()) => {
                             shared
@@ -1021,11 +914,8 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
                 .counters
                 .subscriptions
                 .fetch_sub(n, Ordering::Relaxed);
-            let slot = &shared.hub_lag[hub_idx];
-            slot.max.store(0, Ordering::Relaxed);
-            slot.sum.store(0, Ordering::Relaxed);
-            slot.count.store(0, Ordering::Relaxed);
-            shared.refresh_lag_gauges();
+            shared.obs.lag_max.set(0);
+            shared.obs.lag_mean.set(0);
             return;
         }
         if !progressed {
@@ -1053,6 +943,7 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
 /// head in one write instead of letting it crawl forever.
 fn advance_sub(
     shared: &Shared,
+    frames: &mut FrameCache,
     sub: &mut Sub,
     payload: &mut Vec<u8>,
     out: &mut Vec<u8>,
@@ -1069,7 +960,6 @@ fn advance_sub(
                     sub.seq
                 ),
             );
-            let solution = mask_solution(solution, sub.filter);
             write_one(
                 shared,
                 sub,
@@ -1090,46 +980,9 @@ fn advance_sub(
             let saturated = entries.len() >= shared.cfg.sub_batch;
             out.clear();
             let mut last = sub.seq;
-            if sub.filter.is_all() {
-                for e in &entries {
-                    let frame = shared.frames.frame_for(e);
-                    out.extend_from_slice(&frame);
-                    last = e.seq;
-                }
-            } else {
-                // Filtered path: mask each delta, suppress entries that
-                // mask to empty, and coalesce the suppressed tail into
-                // one empty position-marker delta so the subscriber's
-                // sequence number still tracks the head.
-                let mut wrote_through = sub.seq;
-                for e in &entries {
-                    last = e.seq;
-                    let masked = mask_delta(&e.delta, sub.filter);
-                    if masked.is_empty() {
-                        continue;
-                    }
-                    encode_response(
-                        &Response::Delta {
-                            seq: e.seq,
-                            delta: masked,
-                        },
-                        payload,
-                    );
-                    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                    out.extend_from_slice(payload);
-                    wrote_through = e.seq;
-                }
-                if wrote_through < last {
-                    encode_response(
-                        &Response::Delta {
-                            seq: last,
-                            delta: SolutionDelta::default(),
-                        },
-                        payload,
-                    );
-                    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                    out.extend_from_slice(payload);
-                }
+            for e in &entries {
+                out.extend_from_slice(frames.frame_for(e));
+                last = e.seq;
             }
             let t = shared.obs.sub_write.begin();
             let wrote = sub.stream.write_all(out);
@@ -1152,7 +1005,6 @@ fn advance_sub(
                 "checkpoint_reseed",
                 format!("subscriber reseeded from seq {} to {seq}", sub.seq),
             );
-            let solution = mask_solution(solution, sub.filter);
             write_one(
                 shared,
                 sub,

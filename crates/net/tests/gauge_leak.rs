@@ -26,14 +26,13 @@ fn write_timeout_drop_unregisters_the_subscriber_lag_gauge() {
             write_timeout: Duration::from_millis(50),
             sub_batch: 1,
             straggler_rounds: 2,
-            hubs: 2,
             ..NetConfig::default()
         },
     )
     .unwrap();
     let addr = handle.local_addr().to_string();
 
-    // Three subscribers that never read a byte, spread across hubs.
+    // Three subscribers that never read a byte.
     let stuck: Vec<_> = (0..3)
         .map(|_| NetClient::connect(&addr).unwrap().subscribe(0).unwrap())
         .collect();

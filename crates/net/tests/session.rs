@@ -196,6 +196,35 @@ fn malformed_frames_are_refused_with_a_typed_error() {
         other => panic!("expected a malformed error, got {other:?}"),
     }
 
+    // After Hello, a Subscribe carrying the filter bytes an older peer
+    // appended (`shard:0/2`: tag 2, 0u32, 2u32): same refusal, then a
+    // close — the session never becomes a subscription.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let mut payload = Vec::new();
+    encode_request(
+        &Request::Hello {
+            version: PROTO_VERSION,
+        },
+        &mut payload,
+    );
+    write_frame(&mut stream, &payload).unwrap();
+    assert!(read_frame(&mut stream, &mut reply).unwrap());
+    assert!(matches!(
+        decode_response(&reply).unwrap(),
+        Response::Hello { .. }
+    ));
+    encode_request(&Request::Subscribe { after_seq: 0 }, &mut payload);
+    payload.push(2);
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    payload.extend_from_slice(&2u32.to_le_bytes());
+    write_frame(&mut stream, &payload).unwrap();
+    assert!(read_frame(&mut stream, &mut reply).unwrap());
+    match decode_response(&reply).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, ERR_MALFORMED),
+        other => panic!("expected a malformed error, got {other:?}"),
+    }
+    assert!(!read_frame(&mut stream, &mut reply).unwrap(), "then close");
+
     handle.shutdown();
     service.shutdown();
 }

@@ -15,7 +15,7 @@
 //! resyncing like any other.
 //!
 //! Consumers that tail the log on a thread of their own (the network
-//! fan-out hubs) need not poll it: a thread registered with
+//! fan-out hub) need not poll it: a thread registered with
 //! [`SharedLog::wake_on_publish`] is unparked by every publish, so it
 //! can sleep in [`std::thread::park`] until there is something new.
 

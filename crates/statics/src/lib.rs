@@ -22,8 +22,7 @@
 //!   brute-force optimum for small graphs, used across the test suites.
 //! * [`certify`] — the same properties certified at full scale with
 //!   concrete violation witnesses (the paper's clique criterion for
-//!   1-maximality); [`par_certify`] splits the check across scoped
-//!   threads for massive graphs.
+//!   1-maximality).
 //!
 //! All solvers consume an immutable [`dynamis_graph::CsrGraph`].
 
@@ -33,7 +32,6 @@ pub mod exact;
 pub mod greedy;
 pub mod kernel;
 pub mod luby;
-pub mod par_certify;
 pub mod peeling;
 pub mod verify;
 
@@ -43,5 +41,4 @@ pub use exact::{solve_exact, ExactConfig, ExactResult};
 pub use greedy::greedy_mis;
 pub use kernel::Kernel;
 pub use luby::{luby_mis, LubyResult};
-pub use par_certify::certify_one_maximal_par;
 pub use peeling::reducing_peeling;

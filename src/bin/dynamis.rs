@@ -67,10 +67,10 @@ const USAGE: &str = "usage:
                     [--addr HOST:PORT] [--max-sessions N]
                     [--shed-high H] [--shed-low L] [--metrics true]
                     [--data-dir DIR] [--wal-sync batch|always|never]
-                    [--checkpoint-every N] [--hubs N]
+                    [--checkpoint-every N]
   dynamis net-load --addr HOST:PORT [--subscribers N] [--writers W]
                    [--updates U] [--vertices V] [--batch B] [--seed S] [--json true]
-                   [--filter all|range:LO..HI|shard:ID/OF] [--bootstrap true]
+                   [--bootstrap true]
   dynamis metrics --addr HOST:PORT [--json true | --prom true]
                   [--require NAME,NAME,...]
   dynamis recover --data-dir DIR [--mode verify|replay]
@@ -78,10 +78,12 @@ const USAGE: &str = "usage:
 dynamic algorithms (ALGO): one (default), two, k:<K>, arw, dgone, dgtwo,
                            maximal, restart:<interval>
 net-serve prints `LISTENING <addr>` once ready, serves until stdin closes
-(EOF), then drains subscribers and shuts down; net-load reports writer
-round-trip percentiles, throughput, and delta-stream integrity, and fails
-if the stream broke, --filter or --bootstrap reached no subscriber, or no
-verifying mirror matched the server's snapshot
+(EOF), then drains subscribers and shuts down; net-load's writers insert
+and remove edges among vertex ids 0..V (V = --vertices, which must not
+exceed the served graph's vertex count); it reports writer round-trip
+percentiles, throughput, and delta-stream integrity, and fails if under
+99% of the updates applied, the stream broke, --bootstrap reached no
+subscriber, or no verifying mirror matched the server's snapshot
 --metrics true enables the gated stage timers (counters are always on);
 `metrics` fetches the registry snapshot over the wire — human-readable by
 default, --json/--prom for machine output, --require fails unless every
@@ -421,7 +423,7 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
     let (mut dataset, mut graph, mut k, mut burst) = (None, None, None, None);
     let (mut addr, mut max_sessions, mut shed_high, mut shed_low, mut metrics) =
         (None, None, None, None, None);
-    let (mut data_dir, mut wal_sync, mut checkpoint_every, mut hubs) = (None, None, None, None);
+    let (mut data_dir, mut wal_sync, mut checkpoint_every) = (None, None, None);
     let positional = parse_flags(
         args,
         &mut [
@@ -437,7 +439,6 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
             ("data-dir", &mut data_dir),
             ("wal-sync", &mut wal_sync),
             ("checkpoint-every", &mut checkpoint_every),
-            ("hubs", &mut hubs),
         ],
     )?;
     if !positional.is_empty() {
@@ -467,7 +468,6 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
         "shed-high",
     )? as u64;
     net_cfg.shed_low = parse(shed_low.as_deref(), net_cfg.shed_low as usize, "shed-low")? as u64;
-    net_cfg.hubs = parse(hubs.as_deref(), net_cfg.hubs, "hubs")?.max(1);
 
     // Durable mode: recover (or initialize) the directory *before* the
     // service spawns — the recovered sequence number re-bases the
@@ -650,7 +650,7 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
 fn cmd_net_load(args: &[String]) -> Result<(), String> {
     let (mut addr, mut subscribers, mut writers, mut updates) = (None, None, None, None);
     let (mut vertices, mut batch, mut seed, mut json) = (None, None, None, None);
-    let (mut filter, mut bootstrap) = (None, None);
+    let mut bootstrap = None;
     let positional = parse_flags(
         args,
         &mut [
@@ -662,7 +662,6 @@ fn cmd_net_load(args: &[String]) -> Result<(), String> {
             ("batch", &mut batch),
             ("seed", &mut seed),
             ("json", &mut json),
-            ("filter", &mut filter),
             ("bootstrap", &mut bootstrap),
         ],
     )?;
@@ -684,9 +683,6 @@ fn cmd_net_load(args: &[String]) -> Result<(), String> {
         vertices: parse(vertices.as_deref(), d.vertices as usize, "vertices")? as u32,
         batch: parse(batch.as_deref(), d.batch, "batch")?,
         seed: parse(seed.as_deref(), d.seed as usize, "seed")? as u64,
-        filter: filter
-            .as_deref()
-            .map_or(Ok(dynamis::net::SubFilter::All), str::parse)?,
         bootstrap: bootstrap.as_deref() == Some("true"),
     };
     let report = dynamis::net::load::run(&cfg).map_err(|e| format!("load run: {e}"))?;
@@ -716,32 +712,23 @@ fn cmd_net_load(args: &[String]) -> Result<(), String> {
             report.mirror_errors,
             report.verified_mirrors
         );
-        if report.filtered_subscribers > 0 || report.bootstraps > 0 {
-            println!(
-                "scale-out: {} filtered subscribers ({} out-of-filter), {} bootstraps, busy RTT p50 {} µs / max {} µs",
-                report.filtered_subscribers,
-                report.out_of_filter,
-                report.bootstraps,
-                report.busy_p50_us,
-                report.busy_max_us
-            );
-        }
     }
     check_load(&cfg, &report)
 }
 
-/// Fails a finished `net-load` run whose delta stream broke, or whose
-/// scale-out flags exercised nothing: a `--filter` that put no
-/// subscriber on the filter, a `--bootstrap true` that cold-started
-/// none, or subscribers of which no verifying mirror matched.
+/// Fails a finished `net-load` run that applied under 99% of its
+/// updates, whose delta stream broke, or whose flags exercised nothing:
+/// a `--bootstrap true` that cold-started no subscriber, or subscribers
+/// of which no verifying mirror matched.
 fn check_load(cfg: &LoadConfig, report: &LoadReport) -> Result<(), String> {
-    if report.gaps + report.lost_deltas + report.mirror_errors + report.out_of_filter > 0 {
-        return Err(
-            "delta stream integrity violated (gaps/lost/mirror errors/out-of-filter)".into(),
-        );
+    if report.applied * 100 < report.updates * 99 {
+        return Err(format!(
+            "only {} of {} updates applied: does --vertices {} exceed the served graph's vertex count?",
+            report.applied, report.updates, cfg.vertices
+        ));
     }
-    if !cfg.filter.is_all() && report.filtered_subscribers == 0 {
-        return Err(format!("--filter {} filtered no subscriber", cfg.filter));
+    if report.gaps + report.lost_deltas + report.mirror_errors > 0 {
+        return Err("delta stream integrity violated (gaps/lost/mirror errors)".into());
     }
     if cfg.bootstrap && report.bootstraps == 0 {
         return Err("--bootstrap true bootstrapped no subscriber".into());
@@ -893,12 +880,13 @@ mod tests {
     fn load_check_fails_runs_whose_flags_did_nothing() {
         let cfg = LoadConfig {
             subscribers: 8,
-            filter: dynamis::net::SubFilter::Shard { id: 0, of: 2 },
             bootstrap: true,
             ..LoadConfig::default()
         };
         let good = LoadReport {
-            filtered_subscribers: 4,
+            updates: 2000,
+            applied: 1980,
+            rejected: 20,
             bootstraps: 8,
             verified_mirrors: 4,
             ..LoadReport::default()
@@ -906,7 +894,8 @@ mod tests {
         check_load(&cfg, &good).unwrap();
         for bad in [
             LoadReport {
-                filtered_subscribers: 0,
+                applied: 1979,
+                rejected: 21,
                 ..good.clone()
             },
             LoadReport {
@@ -918,13 +907,23 @@ mod tests {
                 ..good.clone()
             },
             LoadReport {
-                out_of_filter: 1,
+                gaps: 1,
                 ..good.clone()
             },
         ] {
             assert!(check_load(&cfg, &bad).is_err(), "{bad:?}");
         }
-        // Without subscribers or scale-out flags, nothing is owed.
+        let short = check_load(
+            &cfg,
+            &LoadReport {
+                applied: 39,
+                rejected: 1961,
+                ..good.clone()
+            },
+        )
+        .unwrap_err();
+        assert!(short.contains("--vertices"), "{short}");
+        // Without subscribers or flags, nothing is owed.
         let plain = LoadConfig {
             subscribers: 0,
             ..LoadConfig::default()
