@@ -110,17 +110,6 @@ pub fn core_decomposition(g: &CsrGraph) -> CoreDecomposition {
     }
 }
 
-/// The degeneracy of the graph (smallest d such that every subgraph has a
-/// vertex of degree ≤ d).
-pub fn degeneracy(g: &CsrGraph) -> u32 {
-    core_decomposition(g).degeneracy
-}
-
-/// A degeneracy ordering: repeatedly remove a minimum-degree vertex.
-pub fn degeneracy_ordering(g: &CsrGraph) -> Vec<u32> {
-    core_decomposition(g).order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,7 +182,7 @@ mod tests {
     #[test]
     fn degeneracy_ordering_is_a_permutation() {
         let g = complete(5);
-        let mut order = degeneracy_ordering(&g);
+        let mut order = core_decomposition(&g).order;
         order.sort_unstable();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }

@@ -10,20 +10,15 @@
 //!   peeling, O(n + m));
 //! * [`triangles`] — triangle counting and clustering coefficients on the
 //!   degeneracy-oriented DAG;
-//! * [`stats`] — degree summaries, density, bipartiteness;
-//! * [`matching`] — greedy maximal matching and Hopcroft–Karp maximum
-//!   bipartite matching with König vertex-cover extraction (exact MaxIS
-//!   on bipartite graphs).
+//! * [`stats`] — degree summaries, density, bipartiteness.
 
 pub mod cores;
-pub mod matching;
 pub mod stats;
 pub mod traversal;
 pub mod triangles;
 
-pub use cores::{core_decomposition, degeneracy, degeneracy_ordering, CoreDecomposition};
-pub use matching::{greedy_matching, hopcroft_karp, koenig_vertex_cover, Matching};
-pub use stats::{degree_stats, is_bipartite, two_coloring, DegreeStats};
+pub use cores::{core_decomposition, CoreDecomposition};
+pub use stats::{degree_stats, is_bipartite, DegreeStats};
 pub use traversal::{
     bfs_distances, connected_components, diameter_lower_bound, largest_component, Components,
 };

@@ -52,7 +52,7 @@ pub fn degree_stats(g: &CsrGraph) -> DegreeStats {
 
 /// BFS 2-coloring: returns `color[v] ∈ {0, 1}` per vertex, or `None` if
 /// an odd cycle makes the graph non-bipartite. O(n + m).
-pub fn two_coloring(g: &CsrGraph) -> Option<Vec<u8>> {
+fn two_coloring(g: &CsrGraph) -> Option<Vec<u8>> {
     let n = g.num_vertices();
     let mut color = vec![u8::MAX; n];
     let mut queue = std::collections::VecDeque::new();

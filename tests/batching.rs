@@ -5,12 +5,12 @@
 //! gets a correct batch path from the trait default — covered uniformly
 //! here.
 
-use dynamis::gen::{stream::StreamConfig, uniform::gnm, UpdateStream};
+use dynamis::gen::{powerlaw::chung_lu, stream::StreamConfig, uniform::gnm, UpdateStream};
 use dynamis::statics::verify::{is_k_maximal_dynamic, is_maximal_dynamic};
 use dynamis::EngineBuilder;
 use dynamis::{
-    DgDis, DyArw, DyOneSwap, DyTwoSwap, DynamicGraph, DynamicMis, MaximalOnly, Restart,
-    RestartSolver, SolutionMirror,
+    BuildableEngine, DgDis, DyArw, DyOneSwap, DyTwoSwap, DynamicGraph, DynamicMis, EngineError,
+    MaximalOnly, Restart, RestartSolver, SolutionMirror, Update,
 };
 
 #[test]
@@ -170,4 +170,73 @@ fn batch_rejection_reports_index_and_keeps_prefix() {
     assert!(matches!(err, dynamis::EngineError::Batch { index: 1, .. }));
     assert!(!base.graph().has_edge(1, 2));
     assert!(base.graph().has_edge(3, 4));
+}
+
+/// Drives twin engines with `try_apply(u)` and `try_apply_batch(&[u])`.
+/// After every step they must give the same verdict and the same
+/// `entered`/`left`, and hold the same solution. Returns how many
+/// updates both rejected.
+fn single_update_batches_match<E: BuildableEngine>(g: &DynamicGraph, ups: &[Update]) -> usize {
+    let mut single: E = EngineBuilder::on(g.clone()).build_as().unwrap();
+    let mut batch: E = EngineBuilder::on(g.clone()).build_as().unwrap();
+    let name = single.name();
+    let mut rejected = 0;
+    for (i, u) in ups.iter().enumerate() {
+        match (
+            single.try_apply(u),
+            batch.try_apply_batch(std::slice::from_ref(u)),
+        ) {
+            (Ok(a), Ok(b)) => assert_eq!(
+                (a.entered, a.left),
+                (b.entered, b.left),
+                "{name} step {i}: deltas differ"
+            ),
+            (Err(a), Err(EngineError::Batch { index: 0, cause })) => {
+                assert_eq!(a, *cause, "{name} step {i}: rejections differ");
+                rejected += 1;
+            }
+            (a, b) => panic!("{name} step {i}: verdicts differ: {a:?} vs {b:?}"),
+        }
+        assert_eq!(
+            single.solution(),
+            batch.solution(),
+            "{name} step {i}: solutions differ"
+        );
+    }
+    rejected
+}
+
+/// On the engines that override the batch path, a one-update batch is
+/// the same call as `try_apply`, so a logged one-update frame may be
+/// replayed through either. Every 25th update is sent twice; the repeat
+/// is invalid (a duplicate or missing edge, a dead vertex or a taken
+/// vertex id) and both twins must refuse it alike.
+#[test]
+fn single_update_batch_matches_try_apply() {
+    let with_repeats = |ups: Vec<Update>| -> Vec<Update> {
+        let mut out = Vec::with_capacity(ups.len() + ups.len() / 25);
+        for (i, u) in ups.into_iter().enumerate() {
+            if i % 25 == 24 {
+                out.push(u.clone());
+            }
+            out.push(u);
+        }
+        out
+    };
+    let mut cases: Vec<(DynamicGraph, Vec<Update>)> = (0..4u64)
+        .map(|seed| {
+            let g = gnm(60, 140, seed);
+            let ups =
+                UpdateStream::new(&g, StreamConfig::default(), seed ^ 0x5eed).take_updates(400);
+            (g, with_repeats(ups))
+        })
+        .collect();
+    let g = chung_lu(1000, 2.4, 8.0, 5);
+    let ups = UpdateStream::new(&g, StreamConfig::default(), 6).take_updates(3000);
+    cases.push((g, with_repeats(ups)));
+    for (g, ups) in &cases {
+        let repeats = ups.len() / 26;
+        assert_eq!(single_update_batches_match::<DyOneSwap>(g, ups), repeats);
+        assert_eq!(single_update_batches_match::<DyTwoSwap>(g, ups), repeats);
+    }
 }

@@ -1,63 +1,25 @@
-//! End-to-end tests of the `dynamis-problems` reductions driven by the
-//! real dynamic engines.
+//! The engines on the conflict graph of an application problem: interval
+//! scheduling, where α is exact at any size. The graph and α are built
+//! inline, so the check needs nothing beyond the engines and the verifier.
 
-use dynamis::gen::{stream::StreamConfig, uniform::gnm, UpdateStream};
-use dynamis::problems::clique::is_clique;
-use dynamis::problems::intervals::interval_conflict_dynamic;
-use dynamis::problems::labeling::label_conflict_dynamic;
-use dynamis::problems::{
-    greedy_clique, interval_conflict_graph, is_proper_coloring, is_vertex_cover,
-    label_conflict_graph, matching_vertex_cover, max_clique_exact, max_non_overlapping,
-    mis_coloring, DynamicVertexCover, Interval, LabelBox,
-};
-use dynamis::statics::verify::{compact_live, is_independent};
-use dynamis::statics::ExactConfig;
+use dynamis::statics::verify::is_independent;
 use dynamis::EngineBuilder;
-use dynamis::{DyOneSwap, DyTwoSwap, DynamicMis};
+use dynamis::{CsrGraph, DyTwoSwap, DynamicGraph, DynamicMis};
 
-/// The dynamic vertex cover stays a valid cover through an entire
-/// randomized schedule, and its size is exactly |V| − |I|.
-#[test]
-fn dynamic_vertex_cover_valid_throughout() {
-    for seed in 0..5u64 {
-        let g = gnm(26, 45, seed);
-        let ups = UpdateStream::new(&g, StreamConfig::default(), seed + 7).take_updates(150);
-        let mut vc = DynamicVertexCover::new(EngineBuilder::on(g).build_as::<DyOneSwap>().unwrap());
-        for (i, u) in ups.iter().enumerate() {
-            vc.try_apply(u).unwrap();
-            assert!(vc.verify(), "seed {seed} step {i}: cover broken");
-            assert_eq!(
-                vc.size() + vc.engine().size(),
-                vc.engine().graph().num_vertices(),
-                "seed {seed} step {i}: complement identity broken"
-            );
+/// α of an interval graph: the earliest-finish greedy picks a maximum
+/// set of pairwise non-overlapping half-open intervals `[start, end)`.
+fn interval_alpha(intervals: &[(i64, i64)]) -> usize {
+    let mut by_end = intervals.to_vec();
+    by_end.sort_unstable_by_key(|&(_, end)| end);
+    let mut frontier = i64::MIN;
+    let mut alpha = 0;
+    for (start, end) in by_end {
+        if start >= frontier {
+            alpha += 1;
+            frontier = end;
         }
     }
-}
-
-/// The dynamic cover from a 2-maximal engine is never worse than three
-/// times the matching 2-approximation on these instances (a loose sanity
-/// band: the complement route has no worst-case guarantee, but on sparse
-/// random graphs it should at least stay comparable).
-#[test]
-fn dynamic_cover_is_competitive_with_matching() {
-    for seed in 0..4u64 {
-        let g = gnm(40, 80, seed);
-        let vc = DynamicVertexCover::new(
-            EngineBuilder::on(g.clone())
-                .build_as::<DyTwoSwap>()
-                .unwrap(),
-        );
-        let (csr, _) = compact_live(&g);
-        let matching = matching_vertex_cover(&csr);
-        assert!(is_vertex_cover(&g, &vc.cover()));
-        assert!(
-            vc.size() <= 3 * matching.len().max(1),
-            "seed {seed}: {} vs matching {}",
-            vc.size(),
-            matching.len()
-        );
-    }
+    alpha
 }
 
 /// Interval graphs give exact ground truth at scale: the engines'
@@ -75,14 +37,23 @@ fn engines_on_interval_conflict_graphs() {
     };
     for round in 0..6 {
         let n = 30 + (rng() % 30) as usize;
-        let intervals: Vec<Interval> = (0..n)
+        let intervals: Vec<(i64, i64)> = (0..n)
             .map(|_| {
                 let s = (rng() % 200) as i64;
-                Interval::new(s, s + 1 + (rng() % 25) as i64)
+                (s, s + 1 + (rng() % 25) as i64)
             })
             .collect();
-        let alpha = max_non_overlapping(&intervals).len();
-        let g = interval_conflict_dynamic(&intervals);
+        // Half-open intervals overlap iff each starts before the other ends.
+        let mut edges = Vec::new();
+        for (i, &(si, ei)) in intervals.iter().enumerate() {
+            for (j, &(sj, ej)) in intervals.iter().enumerate().skip(i + 1) {
+                if si < ej && sj < ei {
+                    edges.push((i as u32, j as u32));
+                }
+            }
+        }
+        let alpha = interval_alpha(&intervals);
+        let g = DynamicGraph::from_edges(n, &edges);
         let e = EngineBuilder::on(g).build_as::<DyTwoSwap>().unwrap();
         assert!(e.size() <= alpha, "round {round}: beats the optimum?!");
         // Interval graphs are perfect; 2-maximal local optima are strong
@@ -92,62 +63,8 @@ fn engines_on_interval_conflict_graphs() {
             "round {round}: {} far below alpha {alpha}",
             e.size()
         );
-        let csr = interval_conflict_graph(&intervals);
+        let csr = CsrGraph::from_edges(n, &edges);
         let sol = e.solution();
         assert!(is_independent(&csr, &sol));
-    }
-}
-
-/// Map labeling end-to-end: grid of features with two stacked candidates
-/// each; the engine must label every feature exactly once.
-#[test]
-fn labeling_grid_selects_one_candidate_per_feature() {
-    let mut labels = Vec::new();
-    for fx in 0..6u32 {
-        for fy in 0..4u32 {
-            let feature = fx * 4 + fy;
-            let (x, y) = (3.0 * fx as f64, 3.0 * fy as f64);
-            labels.push(LabelBox::new(feature, x, y, 2.0, 1.0));
-            labels.push(LabelBox::new(feature, x, y + 1.2, 2.0, 1.0));
-        }
-    }
-    let g = label_conflict_dynamic(&labels);
-    let e = EngineBuilder::on(g).build_as::<DyTwoSwap>().unwrap();
-    assert_eq!(e.size(), 24, "every feature labeled once");
-    let csr = label_conflict_graph(&labels);
-    assert!(is_independent(&csr, &e.solution()));
-}
-
-/// Clique and coloring: complement reduction agrees with brute force on
-/// random instances; MIS coloring is proper.
-#[test]
-fn clique_and_coloring_agree_with_references() {
-    let mut state = 0xc0ffee_u64;
-    let mut rng = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for round in 0..5 {
-        let n = 10 + (rng() % 8) as usize;
-        let mut edges = Vec::new();
-        for u in 0..n as u32 {
-            for v in u + 1..n as u32 {
-                if rng() % 3 == 0 {
-                    edges.push((u, v));
-                }
-            }
-        }
-        let g = dynamis::CsrGraph::from_edges(n, &edges);
-        let exact = max_clique_exact(&g, ExactConfig::default()).unwrap();
-        assert!(is_clique(&g, &exact), "round {round}");
-        let greedy = greedy_clique(&g);
-        assert!(is_clique(&g, &greedy), "round {round}");
-        assert!(greedy.len() <= exact.len(), "round {round}");
-        let coloring = mis_coloring(&g);
-        assert!(is_proper_coloring(&g, &coloring), "round {round}");
-        // χ ≥ ω always.
-        assert!(coloring.num_colors as usize >= exact.len(), "round {round}");
     }
 }

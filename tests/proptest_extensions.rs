@@ -1,11 +1,10 @@
 //! Property-based tests for the extension modules: snapshots, certify,
-//! Restart, GenericKSwap at k = 3, temporal workloads, the matching
-//! machinery, and the intrusive half-edge payload layer.
+//! Restart, GenericKSwap at k = 3, temporal workloads, and the intrusive
+//! half-edge payload layer.
 
 use dynamis::baselines::{Restart, RestartSolver};
 use dynamis::gen::temporal::{burst, BurstConfig};
 use dynamis::gen::{stream::StreamConfig, uniform::gnm, UpdateStream};
-use dynamis::graph::algo::{greedy_matching, hopcroft_karp, koenig_vertex_cover, two_coloring};
 use dynamis::statics::certify::{certify_independent, certify_one_maximal};
 use dynamis::statics::verify::{compact_live, is_k_maximal_dynamic};
 use dynamis::EngineBuilder;
@@ -89,26 +88,6 @@ proptest! {
         }
         e.check_consistency().map_err(TestCaseError::fail)?;
         prop_assert!(is_k_maximal_dynamic(e.graph(), &e.solution(), 1));
-    }
-
-    /// Matching properties on arbitrary graphs: greedy is a valid maximal
-    /// matching; on bipartite graphs Hopcroft–Karp ≥ greedy and König's
-    /// cover size equals the matching size.
-    #[test]
-    fn matching_properties(seed in 0u64..10_000, n in 2usize..30) {
-        let m = (2 * n).min(n * (n - 1) / 2);
-        let g = gnm(n, m, seed);
-        let (csr, _) = compact_live(&g);
-        let gm = greedy_matching(&csr);
-        gm.validate(&csr).map_err(TestCaseError::fail)?;
-        if two_coloring(&csr).is_some() {
-            let hk = hopcroft_karp(&csr).expect("bipartite");
-            hk.validate(&csr).map_err(TestCaseError::fail)?;
-            prop_assert!(hk.size >= gm.size);
-            prop_assert!(2 * gm.size >= hk.size, "maximal ≥ half of maximum");
-            let cover = koenig_vertex_cover(&csr).expect("bipartite");
-            prop_assert_eq!(cover.len(), hk.size);
-        }
     }
 
     /// The two certifier entry points agree with a from-scratch solution
