@@ -1,6 +1,7 @@
 //! # dynamis-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's §V:
+//! One binary per table/figure of the paper's §V, plus three extension
+//! experiments that measure claims from the paper's introduction:
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -16,6 +17,9 @@
 //! | `fig10`  | Fig. 10 — power-law random graphs, β sweep |
 //! | `worstcase` | Theorem 3 families |
 //! | `plbcheck`  | Theorem 4 / Lemma 2 constants on every dataset |
+//! | `initsens`  | extension — sensitivity to the initial solution |
+//! | `restart`   | extension — amortized cost of recompute-from-scratch |
+//! | `temporal`  | extension — sliding-window and burst workloads |
 //!
 //! Beyond the paper, `obs` and `durable` guard the telemetry and WAL
 //! overhead budgets. [`alloc_track`] counts heap bytes and allocator

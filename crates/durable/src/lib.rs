@@ -1,11 +1,15 @@
 //! # dynamis-durable — crash durability for the update stream
 //!
-//! The paper's engines are pure functions of (initial graph, accepted
-//! update stream): feed the same accepted prefix and you get the same
-//! solution. This crate persists exactly that — a segmented,
-//! checksummed **write-ahead log of the accepted stream** plus periodic
-//! engine **snapshot checkpoints** — and recovers a process restart to
-//! the precise state of an uninterrupted run over the surviving prefix.
+//! Applied one update per `try_apply` call, the paper's engines are pure
+//! functions of (initial graph, accepted update stream): feed the same
+//! accepted prefix that way and you get the same solution. This crate
+//! persists that stream — a segmented, checksummed **write-ahead log of
+//! the accepted stream** plus periodic engine **snapshot checkpoints** —
+//! and recovers a process restart to the state an uninterrupted run of
+//! single-update calls reaches over the surviving prefix. A served run
+//! applies merged rounds through `try_apply_batch`, which runs one swap
+//! drain per call, so a restart can recover another solution than the
+//! one it served; both are k-maximal.
 //!
 //! ## Layers
 //!

@@ -2,10 +2,14 @@
 //! process at **every byte offset** of a recorded run, recover, replay
 //! the remainder of the input stream — and the final solution, sequence
 //! number, and a delta-fed [`SolutionMirror`] all equal those of a run
-//! that never crashed. Engines are pure functions of their accepted
-//! stream, so recovery that restores any consistent prefix and re-feeds
-//! the rest must land on the identical state; any divergence means the
-//! WAL lost, duplicated, or reordered an accepted update.
+//! that never crashed. Both runs apply one update per `try_apply` call,
+//! as `replay_tail` does, and engines driven that way are pure functions
+//! of their accepted stream, so recovery that restores any consistent
+//! prefix and re-feeds the rest must land on the identical state; any
+//! divergence means the WAL lost, duplicated, or reordered an accepted
+//! update. (Calls of several updates through `try_apply_batch`, as a
+//! served run makes, can reach another state; this sweep does not
+//! cover them.)
 //!
 //! One sweep crashes at every byte; a proptest randomizes the update
 //! stream and the crash offset together.

@@ -13,7 +13,7 @@
 //! edges   m × (u32, u32) with u < v
 //! ```
 //!
-//! Unlike the text formats this codec is *exact*: dead vertex slots and
+//! Unlike an edge list this codec is *exact*: dead vertex slots and
 //! therefore vertex ids survive a round trip, and so does the order in
 //! which freed slots are recycled. The decoded graph hands out the same
 //! ids for later vertex insertions as the live one, so an engine can
@@ -23,8 +23,6 @@
 
 use crate::error::GraphError;
 use crate::{DynamicGraph, Result};
-use std::io::{Read, Write};
-use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"DYNG";
 const VERSION: u16 = 2;
@@ -218,22 +216,6 @@ fn corrupt(message: &str) -> GraphError {
         line: 0,
         message: message.into(),
     }
-}
-
-/// Writes a binary snapshot to a file.
-pub fn write_binary<P: AsRef<Path>>(g: &DynamicGraph, path: P) -> Result<()> {
-    let bytes = encode_graph(g);
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&bytes)?;
-    Ok(())
-}
-
-/// Reads a binary snapshot from a file.
-pub fn read_binary<P: AsRef<Path>>(path: P) -> Result<DynamicGraph> {
-    let mut f = std::fs::File::open(path)?;
-    let mut data = Vec::new();
-    f.read_to_end(&mut data)?;
-    decode_graph(&data)
 }
 
 #[cfg(test)]
@@ -498,19 +480,6 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         assert!(decode_graph(&buf).is_err());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("dynamis_binary_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.dyng");
-        let g = DynamicGraph::from_edges(4, &[(0, 2), (1, 3)]);
-        write_binary(&g, &path).unwrap();
-        let rd = read_binary(&path).unwrap();
-        assert_eq!(rd.num_edges(), 2);
-        assert!(rd.has_edge(1, 3));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

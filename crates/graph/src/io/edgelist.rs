@@ -2,8 +2,8 @@
 //! `#`-prefixed comment lines ignored, whitespace-separated.
 
 use crate::error::GraphError;
-use crate::{CsrGraph, DynamicGraph, Result};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use crate::{DynamicGraph, Result};
+use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
 /// Parses an edge list from a reader. Returns `(n, edges)` where `n` is one
@@ -51,37 +51,6 @@ pub fn read_dynamic<P: AsRef<Path>>(path: P) -> Result<DynamicGraph> {
     Ok(DynamicGraph::from_edges(n, &edges))
 }
 
-/// Reads an edge-list file into a [`CsrGraph`].
-pub fn read_csr<P: AsRef<Path>>(path: P) -> Result<CsrGraph> {
-    let file = std::fs::File::open(path)?;
-    let (n, edges) = parse_edge_list(file)?;
-    Ok(CsrGraph::from_edges(n, &edges))
-}
-
-/// Writes a graph as an edge list with a statistics header comment.
-pub fn write_edge_list<W: Write>(g: &DynamicGraph, writer: W) -> Result<()> {
-    let mut w = BufWriter::new(writer);
-    writeln!(
-        w,
-        "# dynamis edge list: n={} m={}",
-        g.num_vertices(),
-        g.num_edges()
-    )?;
-    let mut edges: Vec<_> = g.edges().collect();
-    edges.sort_unstable();
-    for (u, v) in edges {
-        writeln!(w, "{u} {v}")?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Writes a graph to a file path.
-pub fn write_edge_list_path<P: AsRef<Path>>(g: &DynamicGraph, path: P) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_edge_list(g, file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,30 +79,15 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_through_bytes() {
-        let g = DynamicGraph::from_edges(5, &[(0, 4), (1, 3), (2, 4)]);
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let (n, edges) = parse_edge_list(buf.as_slice()).unwrap();
-        assert_eq!(n, 5);
-        let g2 = DynamicGraph::from_edges(n, &edges);
-        assert_eq!(g2.num_edges(), g.num_edges());
-        for (u, v) in g.edges() {
-            assert!(g2.has_edge(u, v));
-        }
-    }
-
-    #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("dynamis_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.txt");
-        let g = DynamicGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        write_edge_list_path(&g, &path).unwrap();
+        std::fs::write(&path, "# n=4\n0 1\n2 3\n").unwrap();
         let rd = read_dynamic(&path).unwrap();
+        assert_eq!(rd.num_vertices(), 4);
         assert_eq!(rd.num_edges(), 2);
-        let rc = read_csr(&path).unwrap();
-        assert_eq!(rc.num_edges(), 2);
+        assert!(rd.has_edge(0, 1) && rd.has_edge(2, 3));
         std::fs::remove_file(&path).ok();
     }
 }

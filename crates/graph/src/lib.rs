@@ -16,23 +16,18 @@
 //!   endpoint list, O(min(d(u), d(v))); the per-neighbor inner loops
 //!   never search.
 //! * [`CsrGraph`] — an immutable compressed-sparse-row snapshot used by the
-//!   static algorithms (exact solver, local search) and as a fast bulk-load
-//!   format.
+//!   static algorithms (exact solver, local search, reducing–peeling).
 //! * [`collections`] — the small auxiliary structures that the paper's
 //!   hierarchical bucket storage requires: [`collections::IndexedBag`] (a
 //!   bag with O(1) membership, insert, and remove via position
 //!   back-pointers) and [`collections::StampSet`] (an epoch-marked set for
 //!   O(1) transient membership tests without clearing).
-//! * [`io`] — graph readers and writers (SNAP edge lists, DIMACS, METIS,
-//!   and a compact binary codec).
-//! * [`algo`] — linear-time classics used by the dataset statistics and
-//!   the static solvers: BFS/components, k-core decomposition, triangle
-//!   counting, degree summaries.
+//! * [`io`] — the SNAP edge-list reader and the exact binary codec that
+//!   engine snapshots and checkpoints embed.
 //!
 //! The terminology follows the paper: for a graph `G_t = (V_t, E_t)` we
 //! write `N_t(v)` for the open neighborhood and `d_t(v)` for the degree.
 
-pub mod algo;
 pub mod collections;
 pub mod csr;
 pub mod dynamic;

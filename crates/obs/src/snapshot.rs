@@ -1,8 +1,7 @@
 //! The single export schema. One [`MetricsSnapshot`] structure is
 //! produced by the in-process API, carried verbatim over the wire by
 //! `Response::Metrics`, and rendered by the Prometheus-text and JSON
-//! encoders here; [`MetricsSnapshot::from_json`] closes the loop so the
-//! CLI and CI can validate what a server emitted.
+//! encoders here.
 
 use crate::events::Event;
 use crate::hist::HistogramSnapshot;
@@ -141,56 +140,6 @@ impl MetricsSnapshot {
         let _ = write!(out, "],\"events_dropped\":{}}}", self.events_dropped);
         out
     }
-
-    /// Parses [`MetricsSnapshot::to_json`] output back into a snapshot.
-    /// Total: every malformed input is a typed [`JsonError`], never a
-    /// panic or an unbounded allocation.
-    pub fn from_json(text: &str) -> Result<MetricsSnapshot, JsonError> {
-        let value = json::parse(text)?;
-        let obj = value.as_obj("snapshot")?;
-        let mut snap = MetricsSnapshot {
-            version: obj.field("version")?.as_u64("version")? as u32,
-            events_dropped: obj.field("events_dropped")?.as_u64("events_dropped")?,
-            ..MetricsSnapshot::default()
-        };
-        for (name, v) in obj.field("counters")?.as_obj("counters")?.entries() {
-            snap.counters.push((name.clone(), v.as_u64("counter")?));
-        }
-        for (name, v) in obj.field("gauges")?.as_obj("gauges")?.entries() {
-            snap.gauges.push((name.clone(), v.as_u64("gauge")?));
-        }
-        for (name, v) in obj.field("histograms")?.as_obj("histograms")?.entries() {
-            let h = v.as_obj("histogram")?;
-            let mut hist = HistogramSnapshot {
-                count: h.field("count")?.as_u64("count")?,
-                sum: h.field("sum")?.as_u64("sum")?,
-                max: h.field("max")?.as_u64("max")?,
-                buckets: Vec::new(),
-            };
-            for pair in h.field("buckets")?.as_arr("buckets")? {
-                let pair = pair.as_arr("bucket pair")?;
-                if pair.len() != 2 {
-                    return Err(JsonError::new("bucket pair must have 2 elements"));
-                }
-                let idx = pair[0].as_u64("bucket index")?;
-                if idx >= crate::hist::NUM_BUCKETS as u64 {
-                    return Err(JsonError::new("bucket index out of range"));
-                }
-                hist.buckets
-                    .push((idx as u32, pair[1].as_u64("bucket count")?));
-            }
-            snap.histograms.push((name.clone(), hist));
-        }
-        for e in obj.field("events")?.as_arr("events")? {
-            let e = e.as_obj("event")?;
-            snap.events.push(Event {
-                at_micros: e.field("at_micros")?.as_u64("at_micros")?,
-                kind: e.field("kind")?.as_str("kind")?.to_string(),
-                detail: e.field("detail")?.as_str("detail")?.to_string(),
-            });
-        }
-        Ok(snap)
-    }
 }
 
 fn lookup<'a, T>(series: &'a [(String, T)], name: &str) -> Option<&'a T> {
@@ -238,249 +187,6 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// A typed JSON parse failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError(String);
-
-impl JsonError {
-    fn new(msg: impl Into<String>) -> Self {
-        JsonError(msg.into())
-    }
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "json: {}", self.0)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// A minimal total JSON reader: just enough for the snapshot schema
-/// (objects, arrays, strings, unsigned integers, and the literals),
-/// depth-capped so adversarial nesting cannot overflow the stack.
-mod json {
-    use super::JsonError;
-
-    const MAX_DEPTH: usize = 24;
-
-    #[derive(Debug)]
-    pub enum Value {
-        Obj(Vec<(String, Value)>),
-        Arr(Vec<Value>),
-        Str(String),
-        Num(u64),
-        Lit, // true / false / null — tolerated, never produced
-    }
-
-    impl Value {
-        pub fn as_obj(&self, what: &str) -> Result<Obj<'_>, JsonError> {
-            match self {
-                Value::Obj(fields) => Ok(Obj(fields)),
-                _ => Err(JsonError::new(format!("{what}: expected object"))),
-            }
-        }
-
-        pub fn as_arr(&self, what: &str) -> Result<&[Value], JsonError> {
-            match self {
-                Value::Arr(items) => Ok(items),
-                _ => Err(JsonError::new(format!("{what}: expected array"))),
-            }
-        }
-
-        pub fn as_u64(&self, what: &str) -> Result<u64, JsonError> {
-            match self {
-                Value::Num(n) => Ok(*n),
-                _ => Err(JsonError::new(format!("{what}: expected unsigned integer"))),
-            }
-        }
-
-        pub fn as_str(&self, what: &str) -> Result<&str, JsonError> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err(JsonError::new(format!("{what}: expected string"))),
-            }
-        }
-    }
-
-    /// Field access over a parsed object.
-    pub struct Obj<'a>(&'a [(String, Value)]);
-
-    impl<'a> Obj<'a> {
-        pub fn field(&self, name: &str) -> Result<&'a Value, JsonError> {
-            self.0
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| JsonError::new(format!("missing field {name}")))
-        }
-
-        pub fn entries(&self) -> impl Iterator<Item = &'a (String, Value)> {
-            self.0.iter()
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError::new("trailing bytes after value"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(JsonError::new(format!(
-                "expected '{}' at byte {}",
-                c as char, *pos
-            )))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(JsonError::new("nesting too deep"));
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((key, value(b, pos, depth + 1)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(JsonError::new("expected ',' or '}' in object")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos, depth + 1)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(JsonError::new("expected ',' or ']' in array")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(c) if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some(c) = b.get(*pos) {
-                    if !c.is_ascii_digit() {
-                        break;
-                    }
-                    n = n
-                        .checked_mul(10)
-                        .and_then(|n| n.checked_add((c - b'0') as u64))
-                        .ok_or_else(|| JsonError::new("integer overflow"))?;
-                    *pos += 1;
-                }
-                if matches!(b.get(*pos), Some(b'.') | Some(b'e') | Some(b'E')) {
-                    return Err(JsonError::new("non-integer number"));
-                }
-                Ok(Value::Num(n))
-            }
-            Some(_) => {
-                for lit in ["true", "false", "null"] {
-                    if b[*pos..].starts_with(lit.as_bytes()) {
-                        *pos += lit.len();
-                        return Ok(Value::Lit);
-                    }
-                }
-                Err(JsonError::new(format!("unexpected byte at {}", *pos)))
-            }
-            None => Err(JsonError::new("unexpected end of input")),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(JsonError::new(format!("expected string at byte {}", *pos)));
-        }
-        *pos += 1;
-        let mut out = Vec::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => {
-                    return String::from_utf8(out)
-                        .map_err(|_| JsonError::new("invalid utf-8 in string"));
-                }
-                b'\\' => {
-                    let esc = b.get(*pos).ok_or_else(|| JsonError::new("open escape"))?;
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'n' => out.push(b'\n'),
-                        b'r' => out.push(b'\r'),
-                        b't' => out.push(b'\t'),
-                        b'b' => out.push(0x08),
-                        b'f' => out.push(0x0c),
-                        b'u' => {
-                            let hex = b
-                                .get(*pos..*pos + 4)
-                                .ok_or_else(|| JsonError::new("short \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| JsonError::new("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError::new("bad \\u escape"))?;
-                            *pos += 4;
-                            // Surrogates (the encoder never emits them)
-                            // decode as the replacement character.
-                            let c = char::from_u32(cp).unwrap_or('\u{fffd}');
-                            out.extend_from_slice(c.to_string().as_bytes());
-                        }
-                        _ => return Err(JsonError::new("unknown escape")),
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-        Err(JsonError::new("unterminated string"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,20 +214,33 @@ mod tests {
         }
     }
 
+    /// Every series, `u64::MAX`, and an event detail that needs escaping
+    /// (a quote and a newline).
     #[test]
-    fn json_round_trips_exactly() {
-        let snap = sample();
-        let json = snap.to_json();
-        assert_eq!(MetricsSnapshot::from_json(&json).unwrap(), snap);
+    fn json_of_sample_is_exact() {
+        assert_eq!(
+            sample().to_json(),
+            concat!(
+                r#"{"version":1,"counters":{"a_total":3,"b_total":18446744073709551615},"#,
+                r#""gauges":{"depth":9},"#,
+                r#""histograms":{"lat_ns":{"count":4,"sum":1234,"max":1000,"#,
+                r#""buckets":[[0,1],[17,2],[100,1]]}},"#,
+                r#""events":[{"at_micros":55,"kind":"shed_on","detail":"queue \"deep\"\nline2"}],"#,
+                r#""events_dropped":7}"#,
+            )
+        );
     }
 
     #[test]
-    fn empty_snapshot_round_trips() {
+    fn json_of_empty_snapshot_is_exact() {
         let snap = MetricsSnapshot {
             version: SNAPSHOT_VERSION,
             ..MetricsSnapshot::default()
         };
-        assert_eq!(MetricsSnapshot::from_json(&snap.to_json()).unwrap(), snap);
+        assert_eq!(
+            snap.to_json(),
+            r#"{"version":1,"counters":{},"gauges":{},"histograms":{},"events":[],"events_dropped":0}"#
+        );
     }
 
     #[test]
@@ -533,27 +252,6 @@ mod tests {
         assert!(text.contains("lat_ns_count 4"));
         assert!(text.contains("lat_ns_sum 1234"));
         assert!(text.contains("dynamis_events_dropped 7"));
-    }
-
-    #[test]
-    fn malformed_json_is_a_typed_error() {
-        for bad in [
-            "",
-            "{",
-            "[1,2",
-            "{\"version\":1}",
-            "{\"version\":-1}",
-            "{\"version\":1.5}",
-            "{\"version\":99999999999999999999999999}",
-            "\"unterminated",
-            "{\"version\":1,\"counters\":{},\"gauges\":{},\"histograms\":{},\"events\":[],\"events_dropped\":[]}",
-            "nullx",
-        ] {
-            assert!(MetricsSnapshot::from_json(bad).is_err(), "accepted: {bad}");
-        }
-        // Deep nesting is refused, not a stack overflow.
-        let deep = "[".repeat(100_000);
-        assert!(MetricsSnapshot::from_json(&deep).is_err());
     }
 
     #[test]

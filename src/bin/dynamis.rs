@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! dynamis datasets                               list the Table I stand-ins
-//! dynamis stats <graph>                          structural statistics
-//! dynamis convert <in> <out>                     convert between formats
 //! dynamis solve <graph> [--algo A]               run a static solver
 //! dynamis run --dataset NAME [--algo A] [...]    dynamic maintenance run
 //! dynamis record --dataset NAME <out.trace>      record an update trace
@@ -14,9 +12,8 @@
 //! dynamis recover --data-dir DIR [...]           verify/replay a durable dir
 //! ```
 //!
-//! Graph formats are sniffed from the file extension: `.col`/`.clq` →
-//! DIMACS, `.graph`/`.metis` → METIS, `.dyng` → binary, anything else →
-//! SNAP edge list.
+//! Every graph file (`solve <graph>`, `--graph FILE`) is a SNAP edge
+//! list: one `u v` pair per line, `#`/`%` comment lines skipped.
 
 use dynamis::baselines::{DgDis, Restart, RestartSolver};
 use dynamis::durable::{
@@ -25,10 +22,6 @@ use dynamis::durable::{
 };
 use dynamis::gen::trace::{read_trace_path, write_trace_path};
 use dynamis::gen::{datasets, StreamConfig, UpdateStream, Workload};
-use dynamis::graph::algo::{
-    connected_components, core_decomposition, count_triangles, degree_stats, diameter_lower_bound,
-    global_clustering, is_bipartite,
-};
 use dynamis::graph::io;
 use dynamis::net::{LoadConfig, LoadReport, NetBackend, NetConfig, NetServer};
 use dynamis::statics::{
@@ -57,8 +50,6 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   dynamis datasets
-  dynamis stats <graph>
-  dynamis convert <in> <out>
   dynamis solve <graph> [--algo greedy|arw|peel|luby|exact]
   dynamis run (--dataset NAME | --graph FILE) [--algo ALGO] [--updates N] [--seed S]
   dynamis record (--dataset NAME | --graph FILE) [--updates N] [--seed S] <out.trace>
@@ -77,6 +68,8 @@ const USAGE: &str = "usage:
 
 dynamic algorithms (ALGO): one (default), two, k:<K>, arw, dgone, dgtwo,
                            maximal, restart:<interval>
+graph files (<graph>, --graph FILE) are SNAP edge lists: one `u v` pair
+per line, `#`/`%` comment lines skipped
 net-serve prints `LISTENING <addr>` once ready, serves until stdin closes
 (EOF), then drains subscribers and shuts down; net-load's writers insert
 and remove edges among vertex ids 0..V (V = --vertices, which must not
@@ -101,8 +94,6 @@ a fresh compacting checkpoint";
 fn dispatch(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("datasets") => cmd_datasets(),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
         Some("solve") => cmd_solve(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("record") => cmd_record(&args[1..]),
@@ -141,31 +132,7 @@ fn parse_flags(
 }
 
 fn load_graph(path: &str) -> Result<DynamicGraph, String> {
-    let lower = path.to_ascii_lowercase();
-    let g = if lower.ends_with(".col") || lower.ends_with(".clq") || lower.ends_with(".dimacs") {
-        io::read_dimacs(path)
-    } else if lower.ends_with(".graph") || lower.ends_with(".metis") {
-        io::read_metis(path)
-    } else if lower.ends_with(".dyng") {
-        io::read_binary(path)
-    } else {
-        io::read_dynamic(path)
-    };
-    g.map_err(|e| format!("loading {path}: {e}"))
-}
-
-fn save_graph(g: &DynamicGraph, path: &str) -> Result<(), String> {
-    let lower = path.to_ascii_lowercase();
-    let r = if lower.ends_with(".col") || lower.ends_with(".clq") || lower.ends_with(".dimacs") {
-        io::write_dimacs(g, std::fs::File::create(path).map_err(|e| e.to_string())?)
-    } else if lower.ends_with(".graph") || lower.ends_with(".metis") {
-        io::write_metis(g, std::fs::File::create(path).map_err(|e| e.to_string())?)
-    } else if lower.ends_with(".dyng") {
-        io::write_binary(g, path)
-    } else {
-        io::write_edge_list_path(g, path)
-    };
-    r.map_err(|e| format!("writing {path}: {e}"))
+    io::read_dynamic(path).map_err(|e| format!("loading {path}: {e}"))
 }
 
 fn cmd_datasets() -> Result<(), String> {
@@ -181,50 +148,6 @@ fn cmd_datasets() -> Result<(), String> {
             spec.category
         );
     }
-    Ok(())
-}
-
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let positional = parse_flags(args, &mut [])?;
-    let [path] = positional.as_slice() else {
-        return Err("stats takes exactly one graph file".into());
-    };
-    let g = load_graph(path)?;
-    let (csr, _) = dynamis::statics::verify::compact_live(&g);
-    let ds = degree_stats(&csr);
-    let comps = connected_components(&csr);
-    let cores = core_decomposition(&csr);
-    let (tri, _) = count_triangles(&csr);
-    println!("graph      : {path}");
-    println!("vertices   : {}", csr.num_vertices());
-    println!("edges      : {}", csr.num_edges());
-    println!(
-        "degree     : min {} / median {} / mean {:.2} / max {}",
-        ds.min, ds.median, ds.mean, ds.max
-    );
-    println!("isolated   : {}", ds.isolated);
-    println!("density    : {:.6}", ds.density);
-    println!("components : {}", comps.count());
-    println!("degeneracy : {}", cores.degeneracy);
-    println!("triangles  : {tri}");
-    println!("clustering : {:.4}", global_clustering(&csr));
-    println!("bipartite  : {}", is_bipartite(&csr));
-    println!("diameter ≥ : {}", diameter_lower_bound(&csr, 0));
-    Ok(())
-}
-
-fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let positional = parse_flags(args, &mut [])?;
-    let [input, output] = positional.as_slice() else {
-        return Err("convert takes <in> <out>".into());
-    };
-    let g = load_graph(input)?;
-    save_graph(&g, output)?;
-    println!(
-        "converted {input} → {output} ({} vertices, {} edges)",
-        g.num_vertices(),
-        g.num_edges()
-    );
     Ok(())
 }
 
@@ -854,26 +777,6 @@ mod tests {
     fn dispatch_rejects_unknown_commands() {
         assert!(dispatch(&["frobnicate".to_string()]).is_err());
         assert!(dispatch(&[]).is_err());
-    }
-
-    #[test]
-    fn stats_and_convert_round_trip_through_a_temp_file() {
-        let dir = std::env::temp_dir().join("dynamis_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let edge = dir.join("g.txt");
-        let dimacs = dir.join("g.col");
-        let g = DynamicGraph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
-        save_graph(&g, edge.to_str().unwrap()).unwrap();
-        dispatch(&[
-            "convert".to_string(),
-            edge.to_str().unwrap().to_string(),
-            dimacs.to_str().unwrap().to_string(),
-        ])
-        .unwrap();
-        let back = load_graph(dimacs.to_str().unwrap()).unwrap();
-        assert_eq!(back.num_edges(), 3);
-        dispatch(&["stats".to_string(), edge.to_str().unwrap().to_string()]).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! gets a correct batch path from the trait default — covered uniformly
 //! here.
 
-use dynamis::gen::{powerlaw::chung_lu, stream::StreamConfig, uniform::gnm, UpdateStream};
+use dynamis::gen::{powerlaw::chung_lu, rng, stream::StreamConfig, uniform::gnm, UpdateStream};
 use dynamis::statics::verify::{is_k_maximal_dynamic, is_maximal_dynamic};
 use dynamis::EngineBuilder;
 use dynamis::{
     BuildableEngine, DgDis, DyArw, DyOneSwap, DyTwoSwap, DynamicGraph, DynamicMis, EngineError,
     MaximalOnly, Restart, RestartSolver, SolutionMirror, Update,
 };
+use rand::Rng;
 
 #[test]
 fn batched_one_swap_is_one_maximal() {
@@ -206,13 +207,12 @@ fn single_update_batches_match<E: BuildableEngine>(g: &DynamicGraph, ups: &[Upda
     rejected
 }
 
-/// On the engines that override the batch path, a one-update batch is
-/// the same call as `try_apply`, so a logged one-update frame may be
-/// replayed through either. Every 25th update is sent twice; the repeat
-/// is invalid (a duplicate or missing edge, a dead vertex or a taken
-/// vertex id) and both twins must refuse it alike.
-#[test]
-fn single_update_batch_matches_try_apply() {
+/// Four seeded `gnm(60, 140)` mixed streams of 400 updates and one
+/// `chung_lu(1000, 2.4, 8.0)` stream of 3,000, each with every 25th
+/// update sent twice. The repeat is invalid (a duplicate or missing edge,
+/// a dead vertex or a taken vertex id), so a twin test that refuses
+/// exactly the repeats refuses `ups.len() / 26` updates.
+fn streams_with_repeats() -> Vec<(DynamicGraph, Vec<Update>)> {
     let with_repeats = |ups: Vec<Update>| -> Vec<Update> {
         let mut out = Vec::with_capacity(ups.len() + ups.len() / 25);
         for (i, u) in ups.into_iter().enumerate() {
@@ -234,9 +234,93 @@ fn single_update_batch_matches_try_apply() {
     let g = chung_lu(1000, 2.4, 8.0, 5);
     let ups = UpdateStream::new(&g, StreamConfig::default(), 6).take_updates(3000);
     cases.push((g, with_repeats(ups)));
-    for (g, ups) in &cases {
+    cases
+}
+
+/// On the engines that override the batch path, a one-update batch is
+/// the same call as `try_apply`, so a logged one-update frame may be
+/// replayed through either. Both twins must refuse each repeat alike.
+#[test]
+fn single_update_batch_matches_try_apply() {
+    for (g, ups) in &streams_with_repeats() {
         let repeats = ups.len() / 26;
         assert_eq!(single_update_batches_match::<DyOneSwap>(g, ups), repeats);
         assert_eq!(single_update_batches_match::<DyTwoSwap>(g, ups), repeats);
+    }
+}
+
+/// Drives twin engines through the same seeded calls of 1–64 updates.
+/// One twin gets each call whole. When that call is refused at index
+/// `i`, the other gets only `call[..i]`, and both go on from `i + 1`.
+/// After every call they must have drained the same `entered`/`left` and
+/// hold the same solution and edge count. Returns the number of refusals.
+fn refused_batches_match_their_prefix<E: BuildableEngine>(
+    g: &DynamicGraph,
+    ups: &[Update],
+    perturbation: bool,
+    seed: u64,
+) -> usize {
+    let build = || -> E {
+        EngineBuilder::on(g.clone())
+            .perturbation(perturbation)
+            .build_as()
+            .unwrap()
+    };
+    let (mut whole, mut prefix) = (build(), build());
+    let name = whole.name();
+    let mut sizes = rng(seed);
+    let (mut at, mut refused) = (0, 0);
+    while at < ups.len() {
+        let call = &ups[at..(at + sizes.gen_range(1..65usize)).min(ups.len())];
+        match whole.try_apply_batch(call) {
+            Ok(_) => {
+                prefix.try_apply_batch(call).unwrap();
+                at += call.len();
+            }
+            Err(EngineError::Batch { index, .. }) => {
+                prefix.try_apply_batch(&call[..index]).unwrap();
+                refused += 1;
+                at += index + 1;
+            }
+            Err(e) => panic!("{name}: a batch failed without an index: {e}"),
+        }
+        let (a, b) = (whole.drain_delta(), prefix.drain_delta());
+        assert_eq!(
+            (a.entered, a.left),
+            (b.entered, b.left),
+            "{name}: deltas differ before update {at}"
+        );
+        assert_eq!(
+            whole.solution(),
+            prefix.solution(),
+            "{name}: solutions differ before update {at}"
+        );
+        assert_eq!(
+            whole.graph().num_edges(),
+            prefix.graph().num_edges(),
+            "{name}: edge counts differ before update {at}"
+        );
+    }
+    refused
+}
+
+/// `try_apply_batch` documents that a refused batch keeps its valid
+/// prefix applied and still runs the drain. So it must leave the engine
+/// exactly where the prefix alone, as a batch of its own, does: that
+/// prefix is what a log of accepted updates holds for the call.
+#[test]
+fn refused_batch_matches_its_prefix_batch() {
+    for (seed, (g, ups)) in (0u64..).zip(&streams_with_repeats()) {
+        let repeats = ups.len() / 26;
+        for perturbation in [false, true] {
+            assert_eq!(
+                refused_batches_match_their_prefix::<DyOneSwap>(g, ups, perturbation, seed),
+                repeats
+            );
+            assert_eq!(
+                refused_batches_match_their_prefix::<DyTwoSwap>(g, ups, perturbation, seed),
+                repeats
+            );
+        }
     }
 }

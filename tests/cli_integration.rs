@@ -46,48 +46,14 @@ fn datasets_lists_all_22_standins() {
     );
 }
 
+/// `solve` reads a SNAP edge list, comment banner included.
 #[test]
-fn stats_convert_solve_pipeline() {
-    let dir = temp_dir("pipeline");
+fn solve_reads_a_snap_edge_list() {
+    let dir = temp_dir("solve");
     let edge = dir.join("g.txt");
     std::fs::write(&edge, "# toy\n0 1\n1 2\n2 3\n3 0\n0 2\n").unwrap();
 
-    let out = cli()
-        .args(["stats", edge.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("vertices   : 4"));
-    assert!(text.contains("edges      : 5"));
-    assert!(text.contains("triangles  : 2"));
-
-    // Convert through every format and back.
-    let dimacs = dir.join("g.col");
-    let metis = dir.join("g.graph");
-    let binary = dir.join("g.dyng");
-    for target in [&dimacs, &metis, &binary] {
-        let out = cli()
-            .args(["convert", edge.to_str().unwrap(), target.to_str().unwrap()])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "convert to {target:?} failed");
-        let back = dir.join("back.txt");
-        let out = cli()
-            .args(["convert", target.to_str().unwrap(), back.to_str().unwrap()])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "convert back from {target:?} failed");
-        let text = std::fs::read_to_string(&back).unwrap();
-        assert_eq!(
-            text.lines().filter(|l| !l.starts_with('#')).count(),
-            5,
-            "edge count survives {target:?}"
-        );
-    }
-
-    // Static solve: C₄ + chord has α = 2... actually {1, 3} for the
-    // 4-cycle with chord (0,2): α = 2.
+    // The 4-cycle 0-1-2-3 with chord (0, 2) has α = 2 ({1, 3}).
     let out = cli()
         .args(["solve", edge.to_str().unwrap(), "--algo", "exact"])
         .output()

@@ -1,11 +1,9 @@
-//! Cross-format I/O agreement: the same graph written through every codec
-//! reads back identical, including under property-based random graphs.
+//! I/O agreement: a graph read from a SNAP edge list or decoded from the
+//! binary codec is the graph it came from, including under
+//! property-based random graphs.
 
 use dynamis::gen::uniform::gnm;
-use dynamis::graph::io::{
-    decode_graph, encode_graph, parse_dimacs, parse_edge_list, parse_metis, read_dynamic,
-    write_dimacs, write_edge_list, write_metis,
-};
+use dynamis::graph::io::{decode_graph, encode_graph, parse_edge_list, read_dynamic};
 use dynamis::DynamicGraph;
 use proptest::prelude::*;
 
@@ -19,35 +17,18 @@ fn same_graph(a: &DynamicGraph, b: &DynamicGraph) -> bool {
 fn all_formats_round_trip_the_same_graph() {
     let g = gnm(50, 120, 5);
 
-    let mut txt = Vec::new();
-    write_edge_list(&g, &mut txt).unwrap();
-    let (n, edges) = parse_edge_list(txt.as_slice()).unwrap();
+    let txt: String = g.edges().map(|(u, v)| format!("{u} {v}\n")).collect();
+    let (n, edges) = parse_edge_list(txt.as_bytes()).unwrap();
     let from_txt = DynamicGraph::from_edges(n, &edges);
-
-    let mut dim = Vec::new();
-    write_dimacs(&g, &mut dim).unwrap();
-    let (n, edges) = parse_dimacs(dim.as_slice()).unwrap();
-    let from_dimacs = DynamicGraph::from_edges(n, &edges);
-
-    let mut met = Vec::new();
-    write_metis(&g, &mut met).unwrap();
-    let (n, edges) = parse_metis(met.as_slice()).unwrap();
-    let from_metis = DynamicGraph::from_edges(n, &edges);
 
     let from_binary = decode_graph(&encode_graph(&g)).unwrap();
 
-    for (label, other) in [
-        ("edge list", &from_txt),
-        ("dimacs", &from_dimacs),
-        ("metis", &from_metis),
-        ("binary", &from_binary),
-    ] {
+    for (label, other) in [("edge list", &from_txt), ("binary", &from_binary)] {
         assert!(same_graph(&g, other), "{label} round trip diverged");
     }
 }
 
-/// METIS compacts dead vertex slots; binary preserves them. Both must
-/// preserve the edge *structure* of a graph with holes.
+/// Binary preserves dead vertex slots, so ids survive a graph with holes.
 #[test]
 fn formats_handle_dead_slots() {
     let mut g = gnm(20, 40, 8);
@@ -57,12 +38,6 @@ fn formats_handle_dead_slots() {
     let bin = decode_graph(&encode_graph(&g)).unwrap();
     assert!(same_graph(&g, &bin), "binary must preserve ids exactly");
     assert!(!bin.is_alive(3) && !bin.is_alive(11));
-
-    let mut met = Vec::new();
-    write_metis(&g, &mut met).unwrap();
-    let (n, edges) = parse_metis(met.as_slice()).unwrap();
-    assert_eq!(n, g.num_vertices(), "metis compacts to live vertices");
-    assert_eq!(edges.len(), g.num_edges());
 }
 
 /// Real SNAP dumps open with `#`-comment banners (and some mirrors use
@@ -150,29 +125,6 @@ proptest! {
         back.check_consistency().map_err(TestCaseError::fail)?;
     }
 
-    /// DIMACS writer output always re-parses to the same structure.
-    #[test]
-    fn dimacs_write_parse_identity(seed in 0u64..100_000, n in 1usize..40) {
-        let g = gnm(n, (2 * n).min(n * (n - 1) / 2), seed);
-        let mut buf = Vec::new();
-        write_dimacs(&g, &mut buf).unwrap();
-        let (pn, edges) = parse_dimacs(buf.as_slice()).unwrap();
-        let back = DynamicGraph::from_edges(pn, &edges);
-        prop_assert_eq!(back.num_edges(), g.num_edges());
-        prop_assert!(g.edges().all(|(u, v)| back.has_edge(u, v)));
-    }
-
-    /// METIS writer output always re-parses (modulo id compaction the
-    /// edge and vertex counts survive).
-    #[test]
-    fn metis_write_parse_counts(seed in 0u64..100_000, n in 2usize..40) {
-        let g = gnm(n, (2 * n).min(n * (n - 1) / 2), seed);
-        let mut buf = Vec::new();
-        write_metis(&g, &mut buf).unwrap();
-        let (pn, edges) = parse_metis(buf.as_slice()).unwrap();
-        prop_assert_eq!(pn, g.num_vertices());
-        prop_assert_eq!(edges.len(), g.num_edges());
-    }
 }
 
 // ------------------------------------------------ durable snapshot formats
